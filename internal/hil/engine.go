@@ -39,8 +39,8 @@ func (e Engine) Run(tr *trace.Trace, spec sim.Spec) (*sim.Result, error) {
 }
 
 // RunStream executes a streaming task source on the platform under the
-// spec's bounded descriptor window (sim.StreamEngine). The mapped
-// Result carries aggregate probes only — Start/Finish/Order stay nil.
+// spec's bounded descriptor window. The mapped Result carries aggregate
+// probes only — Start/Finish/Order stay nil.
 func (e Engine) RunStream(src trace.Source, spec sim.Spec) (*sim.Result, error) {
 	cfg, err := e.config(spec)
 	if err != nil {

@@ -11,12 +11,16 @@ import (
 // runAheadTrace is a small but saturating workload: short tasks whose
 // chains keep the accelerator busy while submissions back up behind a
 // tiny submission buffer.
-func runAheadTrace() *trace.Trace {
-	return patterns.MustBuild(patterns.Params{
+func runAheadTrace(t *testing.T) *trace.Trace {
+	tr, err := patterns.Build(patterns.Params{
 		Family: "stencil_1d", Width: 8, Steps: 6,
 		Len: 50, K: patterns.DefaultK, Seed: 1,
 		Layout: "malloc", Fields: 2, Height: 1, Regions: 1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // TestBoundedNewQNeverLosesTasks is the regression test for the
@@ -25,7 +29,7 @@ func runAheadTrace() *trace.Trace {
 // retry rejected registrations until the accelerator accepts them — all
 // tasks complete, none are dropped, and the run does not wedge.
 func TestBoundedNewQNeverLosesTasks(t *testing.T) {
-	tr := runAheadTrace()
+	tr := runAheadTrace(t)
 	n := uint64(len(tr.Tasks))
 	for _, mode := range []Mode{HWOnly, HWComm, FullSystem} {
 		for _, ff := range []bool{true, false} {
@@ -70,11 +74,14 @@ func TestRunAheadWindowBounds(t *testing.T) {
 	// completion (= admission) rate stays far below the master's ~3.1k
 	// cycles per creation, so descriptors pile up behind the one-slot
 	// buffer until the window binds.
-	tr := patterns.MustBuild(patterns.Params{
+	tr, err := patterns.Build(patterns.Params{
 		Family: "no_comm", Width: 320, Steps: 2,
 		Len: 100_000, K: patterns.DefaultK, Seed: 1,
 		Layout: "malloc", Fields: 2, Height: 1, Regions: 1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var r runner
 	cfg := DefaultConfig()
 	cfg.Mode = FullSystem
@@ -117,7 +124,7 @@ func TestRunAheadWindowBounds(t *testing.T) {
 // here: the master then waits out each submission's link occupancy and
 // flight before creating again.)
 func TestUnboundedQueueKeepsLegacyBehavior(t *testing.T) {
-	tr := runAheadTrace()
+	tr := runAheadTrace(t)
 	base := DefaultConfig()
 	base.Mode = FullSystem
 	bounded := base

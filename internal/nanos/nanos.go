@@ -7,10 +7,14 @@
 // the two signature behaviours of Figures 1 and 11: scaling saturates
 // around 8 workers, and fine-grained tasks collapse once per-task
 // overhead rivals task duration.
+//
+// One discrete-event loop serves both entry points. It feeds from a
+// trace.Source: RunSource streams under a bounded descriptor window, and
+// Run treats a materialized trace as a stream whose window never closes.
 package nanos
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -84,9 +88,9 @@ type Config struct {
 	Steal    bool
 	Timing   Timing
 	Watchdog uint64 // safety bound on simulated cycles (0: 1e12)
-	// Window bounds streaming ingestion (RunSource only): the maximum
-	// number of created-but-unfinished tasks kept live at once. RunSource
-	// requires it positive; Run (materialized) ignores it. See stream.go.
+	// Window bounds RunSource's descriptor window: the maximum number of
+	// created-but-unfinished tasks kept live at once, 0 meaning
+	// unbounded. Run always runs unbounded and ignores it.
 	Window int
 }
 
@@ -96,91 +100,28 @@ type Result struct {
 	Makespan uint64
 	Baseline uint64
 	Speedup  float64
-	Start    []uint64
-	Finish   []uint64
+	// Start/Finish are the per-task schedule, recorded by Run only: a
+	// streamed RunSource leaves them nil (they would be O(tasks)).
+	Start  []uint64
+	Finish []uint64
 	// LockBusy is the total cycles the runtime lock was held — the
 	// contention diagnostic behind the 8-worker knee.
 	LockBusy uint64
-	// FirstStart/ThrTask are the aggregate latency/throughput probes
-	// stamped by the streaming RunSource, which records no Start array
-	// to derive them from; the materialized Run leaves them zero and the
-	// engine derives them with sim.Probes.
+	// FirstStart/ThrTask are the Table IV latency/throughput probes,
+	// stamped by both entry points: the cycle the first task started and
+	// the marginal cycles per additional task start.
 	FirstStart uint64
 	ThrTask    float64
 }
 
-// event kinds for the discrete-event simulation.
-type evKind uint8
+// ErrStreamPriority rejects bottom-level priority scheduling under
+// streaming: bottom levels are a whole-graph backward pass, which a
+// stream cannot compute.
+var ErrStreamPriority = errors.New("nanos: priority scheduling needs the whole graph; not available when streaming")
 
-const (
-	evMasterCreate evKind = iota // master finished creating, wants the lock
-	evWorkerIdle                 // worker wants to pop a ready task
-	evWorkerDone                 // worker finished executing a task
-)
-
-type event struct {
-	at   uint64
-	seq  uint64 // FIFO tie-break
-	kind evKind
-	who  int   // worker index
-	task int32 // evWorkerDone
-}
-
-type evHeap []event
-
-func (h evHeap) Len() int { return len(h) }
-func (h evHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h evHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *evHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *evHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-// nextEvent reports the timestamp of the earliest queued event — the
-// run's horizon, the software-runtime counterpart of picos.NextEvent.
-// The runtime model is inherently event-driven, so sim.Spec's
-// FastForward knob has nothing to switch here.
-func (h evHeap) nextEvent() (uint64, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].at, true
-}
-
-// runScratch is the per-run working state of the discrete-event loop,
-// pooled across runs so steady-state sweeps re-simulate without
-// reallocating the event heap and per-task bookkeeping (the run's event
-// horizon gets warm storage; only the Start/Finish arrays that escape
-// into the Result are fresh).
-type runScratch struct {
-	remaining []int32 // unfinished predecessors
-	submitted []bool
-	events    evHeap
-	pool      sched.Pool[struct{}] // ready tasks + parked workers
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
-
-// grab sizes the scratch for n tasks, reusing capacity where possible.
-func (s *runScratch) grab(n int) {
-	if cap(s.remaining) < n {
-		s.remaining = make([]int32, n)
-		s.submitted = make([]bool, n)
-	} else {
-		s.remaining = s.remaining[:n]
-		s.submitted = s.submitted[:n]
-		for i := range s.submitted {
-			s.submitted[i] = false
-		}
-	}
-	s.events = s.events[:0]
-}
-
-// Run simulates the software-only runtime on the trace.
-func Run(tr *trace.Trace, cfg Config) (*Result, error) {
+// normalize checks the worker setup, fills the defaults and returns the
+// worker classes (one baseline class when none is declared).
+func (cfg *Config) normalize() (sched.Classes, error) {
 	if len(cfg.Classes) > 0 {
 		if cfg.Workers != 0 {
 			return nil, fmt.Errorf("nanos: both Workers (%d) and Classes (%q) set", cfg.Workers, cfg.Classes.String())
@@ -199,24 +140,18 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if cfg.Watchdog == 0 {
 		cfg.Watchdog = 1e12
 	}
-	tm := &cfg.Timing
-	g := taskgraph.Build(tr)
-	n := g.N
-	threads := cfg.Workers + 1 // master + workers
-
-	res := &Result{
-		Workers:  cfg.Workers,
-		Baseline: tr.Baseline(),
-		Start:    make([]uint64, n),
-		Finish:   make([]uint64, n),
+	if len(cfg.Classes) == 0 {
+		return sched.Single(cfg.Workers), nil
 	}
-	if n == 0 {
-		return res, nil
-	}
+	return cfg.Classes, nil
+}
 
-	classes := cfg.Classes
-	if len(classes) == 0 {
-		classes = sched.Single(cfg.Workers)
+// Run simulates the software-only runtime on a materialized trace and
+// records its Start/Finish schedule.
+func Run(tr *trace.Trace, cfg Config) (*Result, error) {
+	classes, err := cfg.normalize()
+	if err != nil {
+		return nil, err
 	}
 	present := make([]bool, len(tr.Kinds)+1)
 	for i := range tr.Tasks {
@@ -227,37 +162,188 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	}
 	var prio []uint64
 	if cfg.Sched == sched.Priority {
-		prio = g.BottomLevels()
+		prio = taskgraph.Build(tr).BottomLevels()
 	}
+	n := len(tr.Tasks)
+	res := &Result{Start: make([]uint64, n), Finish: make([]uint64, n)}
+	cfg.Window = 0
+	return simulate(trace.FromTrace(tr), cfg, classes, prio, res)
+}
 
-	s := scratchPool.Get().(*runScratch)
-	s.grab(n)
-	remaining := s.remaining
-	submitted := s.submitted
-	for i := 0; i < n; i++ {
-		remaining[i] = int32(len(g.Pred[i]))
+// RunSource simulates the software-only runtime on a streaming source
+// under cfg.Window. It records no Start/Finish schedule; the Result
+// carries the aggregate FirstStart/ThrTask probes.
+func RunSource(src trace.Source, cfg Config) (*Result, error) {
+	if cfg.Sched == sched.Priority {
+		return nil, ErrStreamPriority
 	}
-	pool := &s.pool
-	pool.Reset(classes, cfg.Sched, cfg.Steal, tr.Kinds, prio)
+	classes, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
+	if err := src.Rewind(); err != nil {
+		return nil, fmt.Errorf("nanos: %w", err)
+	}
+	// A stream's kind usage is unknown up front: require the class list
+	// to cover every declared kind, plus unkinded tasks, conservatively.
+	kinds := src.Kinds()
+	present := make([]bool, len(kinds)+1)
+	for i := range present {
+		present[i] = true
+	}
+	if err := classes.CheckCoverage(kinds, present); err != nil {
+		return nil, err
+	}
+	return simulate(src, cfg, classes, nil, &Result{})
+}
+
+// event kinds for the discrete-event simulation.
+type evKind uint8
+
+const (
+	evMasterCreate evKind = iota // master finished creating, wants the lock
+	evWorkerIdle                 // worker wants to pop a ready task
+	evWorkerDone                 // worker finished executing a task
+)
+
+type event struct {
+	at   uint64
+	seq  uint64 // FIFO tie-break
+	kind evKind
+	who  int   // worker index
+	task int32 // evMasterCreate, evWorkerDone
+}
+
+// evHeap is a min-heap of events on (at, seq). A typed heap rather than
+// container/heap, which would box every pushed event into an interface.
+type evHeap []event
+
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+func (h *evHeap) push(e event) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s[i].before(&s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *evHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	i := 0
+	for {
+		least := 2*i + 1
+		if least >= n {
+			break
+		}
+		if right := least + 1; right < n && s[right].before(&s[least]) {
+			least = right
+		}
+		if !s[least].before(&s[i]) {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	return top
+}
+
+// nodeState is the bookkeeping of one live (created, unfinished) task.
+type nodeState struct {
+	remaining int32   // live predecessors not yet finished
+	succ      []int32 // live successors created so far
+	ndeps     int     // len(Deps), for the release cost
+	dur       uint64
+	kind      uint16
+}
+
+// loop is the working state of one run, pooled across runs so warm
+// sweeps re-simulate without reallocating the ready pool, the dependence
+// analysis, the live set or the event heap.
+type loop struct {
+	pool   sched.Pool[struct{}] // ready tasks + parked workers
+	inc    *taskgraph.Incremental
+	live   map[int32]*nodeState
+	free   []*nodeState // retired nodes, reused with their succ capacity
+	events evHeap
+}
+
+var loops = sync.Pool{New: func() any {
+	return &loop{inc: taskgraph.NewIncremental(), live: make(map[int32]*nodeState)}
+}}
+
+// simulate runs the discrete-event loop over a rewound source. The live
+// set holds one node per created-but-unfinished task: the master adds a
+// node when its creation event fires and the worker-done release
+// deletes it, so under a positive cfg.Window at most that many nodes
+// exist at once and an arbitrarily long stream replays in O(window) heap
+// (plus the per-address dependence state of taskgraph.Incremental). When
+// the window is full the master parks, and the next release re-arms the
+// creation chain.
+//
+// Only predecessors still live gate a new task; a finished one already
+// released its constraint. res arrives with its Start/Finish arrays
+// allocated when the schedule is to be recorded.
+func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64, res *Result) (*Result, error) {
+	l := loops.Get().(*loop)
+	defer func() {
+		// Hand the (possibly grown) state back emptied, error paths
+		// included.
+		l.inc.Reset()
+		clear(l.live)
+		l.events = l.events[:0]
+		loops.Put(l)
+	}()
+	tm := &cfg.Timing
+	threads := cfg.Workers + 1 // master + workers
+	kinds := src.Kinds()
+	res.Workers = cfg.Workers
+	res.Baseline = src.RefSeqCycles()
+
+	pool := &l.pool
+	pool.Reset(classes, cfg.Sched, cfg.Steal, kinds, prio)
+	live := l.live
 
 	var (
 		seq      uint64
 		lockFree uint64
-		created  int // tasks created by the master so far
+		fetched  int // tasks pulled off the source so far
 		finished int
+		srcDone  bool
+
+		// One-descriptor lookahead: the next task is pulled when its
+		// creation event is scheduled (its CreateCost sets the event
+		// time) and enters the live set when that event fires.
+		pending   trace.Task
+		pendingOK bool
+		parked    bool // master paused on a full window
+
+		aggDur    uint64 // Σ durations, for the SerialCycles fallback
+		first     uint64
+		lastStart uint64
+		started   int
 	)
-	events := s.events
-	defer func() {
-		// Hand the (possibly grown) buffers back to the pool, emptied —
-		// error paths included.
-		s.events = events[:0]
-		scratchPool.Put(s)
-	}()
+
 	push := func(at uint64, kind evKind, who int, task int32) {
 		seq++
-		heap.Push(&events, event{at: at, seq: seq, kind: kind, who: who, task: task})
+		l.events.push(event{at: at, seq: seq, kind: kind, who: who, task: task})
 	}
-
 	// acquireLock serializes an in-lock section of base duration `hold`
 	// (already contention-inflated by the caller) starting no earlier
 	// than `at`; returns the section's end time.
@@ -269,52 +355,80 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		res.LockBusy += hold
 		return lockFree
 	}
-
-	// The master starts creating the first task at cycle 0; workers park
-	// idle.
-	createCost := func(i int) uint64 {
-		c := tr.Tasks[i].CreateCost
+	// armCreate pulls the next descriptor and schedules its creation
+	// event, provided the source has one, the window has room and no
+	// pull is already in flight.
+	armCreate := func(at uint64) error {
+		if pendingOK || srcDone || (cfg.Window > 0 && len(live) >= cfg.Window) {
+			parked = !pendingOK && !srcDone
+			return nil
+		}
+		t, ok := src.Next()
+		if !ok {
+			srcDone = true
+			if err := trace.SourceErr(src); err != nil {
+				return fmt.Errorf("nanos: %w", err)
+			}
+			return nil
+		}
+		if err := trace.ValidateTask(&t, fetched, len(kinds)); err != nil {
+			return fmt.Errorf("nanos: %w", err)
+		}
+		pending, pendingOK = t, true
+		parked = false
+		c := t.CreateCost
 		if c == 0 {
 			c = tm.Create
 		}
-		return c
+		push(at+c, evMasterCreate, -1, int32(t.ID))
+		return nil
 	}
-	push(createCost(0), evMasterCreate, -1, 0)
-	for w := 0; w < cfg.Workers; w++ {
-		pool.Park(w)
-	}
-
 	// markReady queues a runnable task and wakes an idle worker eligible
 	// for its kind, if any is parked.
-	markReady := func(t int32, at uint64) {
-		kind := tr.Tasks[t].Kind
+	markReady := func(t int32, kind uint16, at uint64) {
 		pool.Enqueue(uint32(t), kind, struct{}{})
 		if w, ok := pool.WakeEligible(kind); ok {
 			push(at, evWorkerIdle, w, -1)
 		}
 	}
 
-	for {
-		horizon, ok := events.nextEvent()
-		if !ok {
-			break
+	// The master starts creating the first task at cycle 0; workers park
+	// idle.
+	if err := armCreate(0); err != nil {
+		return nil, err
+	}
+	for w := 0; w < cfg.Workers; w++ {
+		pool.Park(w)
+	}
+
+	for len(l.events) > 0 {
+		if horizon := l.events[0].at; horizon > cfg.Watchdog {
+			return nil, fmt.Errorf("nanos: watchdog at cycle %d (%d finished, %d live)", horizon, finished, len(live))
 		}
-		if horizon > cfg.Watchdog {
-			return nil, fmt.Errorf("nanos: watchdog at cycle %d (%d/%d finished)", horizon, finished, n)
-		}
-		ev := heap.Pop(&events).(event)
+		ev := l.events.pop()
 		switch ev.kind {
 		case evMasterCreate:
-			t := int32(ev.task)
-			hold := tm.inflate(tm.SubmitBase+uint64(len(tr.Tasks[t].Deps))*tm.SubmitPerDep, threads)
-			end := acquireLock(ev.at, hold)
-			submitted[t] = true
-			created++
-			if remaining[t] == 0 {
-				markReady(t, end)
+			t := ev.task
+			task := pending
+			pendingOK = false
+			fetched++
+			aggDur += task.Duration
+			nd := l.node()
+			nd.ndeps, nd.dur, nd.kind = len(task.Deps), task.Duration, task.Kind
+			for _, p := range l.inc.Preds(t, task.Deps) {
+				if pn, alive := live[p]; alive {
+					pn.succ = append(pn.succ, t)
+					nd.remaining++
+				}
 			}
-			if created < n {
-				push(end+createCost(created), evMasterCreate, -1, int32(created))
+			live[t] = nd
+			hold := tm.inflate(tm.SubmitBase+uint64(nd.ndeps)*tm.SubmitPerDep, threads)
+			end := acquireLock(ev.at, hold)
+			if nd.remaining == 0 {
+				markReady(t, nd.kind, end)
+			}
+			if err := armCreate(end); err != nil {
+				return nil, err
 			}
 		case evWorkerIdle:
 			if !pool.CanTake(ev.who) {
@@ -327,9 +441,16 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 			end := acquireLock(ev.at, hold)
 			it, _ := pool.TakeFor(ev.who)
 			t := int32(it.ID)
-			res.Start[t] = end
-			res.Finish[t] = end + pool.Scale(ev.who, g.Durations[t])
-			push(res.Finish[t], evWorkerDone, ev.who, t)
+			if started == 0 || end < first {
+				first = end
+			}
+			lastStart = max(lastStart, end)
+			started++
+			fin := end + pool.Scale(ev.who, live[t].dur)
+			if res.Start != nil {
+				res.Start[t], res.Finish[t] = end, fin
+			}
+			push(fin, evWorkerDone, ev.who, t)
 			// If more work remains visible, wake another idle worker that
 			// can take it.
 			if pool.Len() > 0 {
@@ -339,13 +460,23 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 			}
 		case evWorkerDone:
 			t := ev.task
-			hold := tm.inflate(tm.ReleaseBase+uint64(len(tr.Tasks[t].Deps))*tm.ReleasePerDep, threads)
+			nd := live[t]
+			hold := tm.inflate(tm.ReleaseBase+uint64(nd.ndeps)*tm.ReleasePerDep, threads)
 			end := acquireLock(ev.at, hold)
 			finished++
-			for _, s := range g.Succ[t] {
-				remaining[s]--
-				if remaining[s] == 0 && submitted[s] {
-					markReady(s, end)
+			res.Makespan = max(res.Makespan, ev.at)
+			for _, s := range nd.succ {
+				sn := live[s]
+				sn.remaining--
+				if sn.remaining == 0 {
+					markReady(s, sn.kind, end)
+				}
+			}
+			delete(live, t) // retire: the window slot reopens
+			l.free = append(l.free, nd)
+			if parked {
+				if err := armCreate(end); err != nil {
+					return nil, err
 				}
 			}
 			// This worker looks for more work immediately.
@@ -353,16 +484,31 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		}
 	}
 
-	if finished != n {
-		return nil, fmt.Errorf("nanos: only %d/%d tasks finished (scheduler wedge)", finished, n)
+	if len(live) > 0 || pendingOK || !srcDone {
+		return nil, fmt.Errorf("nanos: stalled with %d live tasks after %d finished (scheduler wedge)", len(live), finished)
 	}
-	for _, f := range res.Finish {
-		if f > res.Makespan {
-			res.Makespan = f
-		}
+	if res.Baseline == 0 {
+		res.Baseline = src.SerialCycles() + aggDur
 	}
 	if res.Makespan > 0 {
 		res.Speedup = float64(res.Baseline) / float64(res.Makespan)
 	}
+	res.FirstStart = first
+	if started > 1 {
+		res.ThrTask = float64(lastStart-first) / float64(started-1)
+	}
 	return res, nil
+}
+
+// node returns a zeroed live-set node, reusing a retired one (and its
+// succ capacity) when available.
+func (l *loop) node() *nodeState {
+	k := len(l.free)
+	if k == 0 {
+		return new(nodeState)
+	}
+	nd := l.free[k-1]
+	l.free = l.free[:k-1]
+	*nd = nodeState{succ: nd.succ[:0]}
+	return nd
 }

@@ -2,6 +2,7 @@ package nanos
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -11,11 +12,12 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStreamWideWindowMatchesRun locks the streaming driver to the
-// materialized one: a window wider than the whole trace never parks the
-// master, so every event fires at the same cycle and the aggregate
-// probes must equal the materialized run's arrays summarized by
-// sim.Probes — byte-identical makespan, lock time and throughput.
+// TestStreamWideWindowMatchesRun locks the streaming entry point to the
+// materialized one: an unbounded window (0) or one wider than the whole
+// trace never parks the master, so every event fires at the same cycle
+// and the streamed aggregates must equal the materialized run's —
+// byte-identical makespan, lock time and probes, the probes also
+// matching the recorded schedule summarized by sim.Probes.
 func TestStreamWideWindowMatchesRun(t *testing.T) {
 	for n := 1; n <= 7; n++ {
 		tr, err := synth.Case(n)
@@ -27,18 +29,23 @@ func TestStreamWideWindowMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("case%d w=%d: %v", n, w, err)
 			}
-			got, err := RunSource(trace.FromTrace(tr), Config{Workers: w, Window: len(tr.Tasks) + 1})
-			if err != nil {
-				t.Fatalf("case%d w=%d stream: %v", n, w, err)
-			}
 			first, thr := sim.Probes(want.Start)
-			if got.Makespan != want.Makespan || got.Baseline != want.Baseline ||
-				got.Speedup != want.Speedup || got.LockBusy != want.LockBusy {
-				t.Fatalf("case%d w=%d: stream %+v, want %+v", n, w, got, want)
+			if want.FirstStart != first || want.ThrTask != thr {
+				t.Fatalf("case%d w=%d: Run probes %d/%.3f, schedule says %d/%.3f",
+					n, w, want.FirstStart, want.ThrTask, first, thr)
 			}
-			if got.FirstStart != first || got.ThrTask != thr {
-				t.Fatalf("case%d w=%d: probes %d/%.3f, want %d/%.3f",
-					n, w, got.FirstStart, got.ThrTask, first, thr)
+			for _, win := range []int{0, len(tr.Tasks) + 1} {
+				got, err := RunSource(trace.FromTrace(tr), Config{Workers: w, Window: win})
+				if err != nil {
+					t.Fatalf("case%d w=%d window %d: %v", n, w, win, err)
+				}
+				if got.Start != nil || got.Finish != nil {
+					t.Fatalf("case%d w=%d window %d: streamed run recorded a schedule", n, w, win)
+				}
+				got.Start, got.Finish = want.Start, want.Finish
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("case%d w=%d window %d: stream %+v, want %+v", n, w, win, got, want)
+				}
 			}
 		}
 	}
@@ -81,16 +88,12 @@ func TestStreamBoundedWindow(t *testing.T) {
 	}
 }
 
-// TestStreamRestrictions pins the typed rejections: streaming requires a
-// positive window, and bottom-level priority scheduling needs the whole
-// graph.
+// TestStreamRestrictions pins the typed rejection: bottom-level
+// priority scheduling needs the whole graph.
 func TestStreamRestrictions(t *testing.T) {
 	tr, err := synth.Case(1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := RunSource(trace.FromTrace(tr), Config{Workers: 2}); !errors.Is(err, ErrStreamWindow) {
-		t.Fatalf("window 0: got %v, want ErrStreamWindow", err)
 	}
 	if _, err := RunSource(trace.FromTrace(tr), Config{Workers: 2, Window: 8, Sched: sched.Priority}); !errors.Is(err, ErrStreamPriority) {
 		t.Fatalf("priority: got %v, want ErrStreamPriority", err)

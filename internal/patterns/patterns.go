@@ -704,16 +704,6 @@ func Build(p Params) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// MustBuild is Build for known-good literal params in examples and
-// tests; it panics on error.
-func MustBuild(p Params) *trace.Trace {
-	tr, err := Build(p)
-	if err != nil {
-		panic(err)
-	}
-	return tr
-}
-
 func log2(w int) int {
 	n := 0
 	for 1<<uint(n+1) <= w {

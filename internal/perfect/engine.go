@@ -48,7 +48,7 @@ func (Engine) Run(tr *trace.Trace, spec sim.Spec) (*sim.Result, error) {
 	}, nil
 }
 
-// RunStream satisfies sim.StreamEngine by materializing the source: the
+// RunStream satisfies sim.Engine by materializing the source: the
 // roofline's critical-path weighting is a whole-graph backward pass, so
 // a bounded window cannot help it — this is one of the sanctioned
 // trace.Materialize sites (see picoslint's materializewall check). The

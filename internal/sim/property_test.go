@@ -65,6 +65,8 @@ func randomTrace(r *rand.Rand, idx int) *trace.Trace {
 //   - every N-th graph is additionally replayed on the cycle-stepped
 //     reference loop and must agree byte-for-byte (a randomized
 //     extension of the fixed equivalence matrix)
+//   - every graph also runs on the nanos software runtime under the same
+//     worker setup (see checkNanos)
 func TestRandomGraphProperties(t *testing.T) {
 	const graphs = 200
 	r := rand.New(rand.NewSource(0x9105))
@@ -185,6 +187,54 @@ func TestRandomGraphProperties(t *testing.T) {
 			if wj, rj := resultJSON(t, ws), resultJSON(t, wr); wj != rj {
 				t.Fatalf("graph %d window=%d on %s: streamed fast path diverges from reference\nfast: %s\nref:  %s", g, win, engine, wj, rj)
 			}
+		}
+
+		nSpec := spec
+		nSpec.Engine = "nanos"
+		checkNanos(t, g, tr, nSpec)
+	}
+}
+
+// checkNanos runs one random graph on the nanos engine: the materialized
+// schedule must respect the dependence oracle; unless the policy is the
+// whole-graph priority scheduler, a window wider than the graph must
+// reproduce the materialized aggregates exactly, and narrow windows
+// must complete, rerun deterministically and record no schedule.
+func checkNanos(t *testing.T, g int, tr *trace.Trace, spec sim.Spec) {
+	t.Helper()
+	ref, err := sim.RunTrace(tr, spec)
+	if err != nil {
+		t.Fatalf("graph %d on nanos: %v", g, err)
+	}
+	if err := sim.Verify(tr, ref); err != nil {
+		t.Fatalf("graph %d on nanos: schedule violates dependences: %v", g, err)
+	}
+	if spec.Sched == "priority" {
+		return
+	}
+	for _, win := range []int{len(tr.Tasks) + 1, 2, 16, 256} {
+		wSpec := spec
+		wSpec.Window = win
+		a, err := sim.RunTrace(tr, wSpec)
+		if err != nil {
+			t.Fatalf("graph %d window=%d on nanos: %v", g, win, err)
+		}
+		if a.Start != nil || a.Finish != nil {
+			t.Fatalf("graph %d window=%d on nanos: streamed run kept whole-graph schedule arrays", g, win)
+		}
+		if win > len(tr.Tasks) {
+			if a.Makespan != ref.Makespan || a.Baseline != ref.Baseline || a.LockBusy != ref.LockBusy ||
+				a.FirstStart != ref.FirstStart || a.ThrTask != ref.ThrTask {
+				t.Fatalf("graph %d window=%d on nanos: streamed %+v, materialized %+v", g, win, a, ref)
+			}
+			continue
+		}
+		b, err := sim.RunTrace(tr, wSpec)
+		if err != nil {
+			t.Fatalf("graph %d window=%d rerun on nanos: %v", g, win, err)
+		}
+		if aj, bj := resultJSON(t, a), resultJSON(t, b); aj != bj {
+			t.Fatalf("graph %d window=%d on nanos: nondeterministic\nfirst:  %s\nsecond: %s", g, win, aj, bj)
 		}
 	}
 }

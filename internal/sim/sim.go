@@ -33,23 +33,18 @@ import (
 // Engine is one execution model: it schedules a trace's task graph under
 // a Spec and reports a shared Result. Implementations register
 // themselves with Register (typically from package init) and must be
-// safe for concurrent Run calls — Sweep invokes them from many
-// goroutines.
+// safe for concurrent Run and RunStream calls — Sweep invokes them from
+// many goroutines.
 type Engine interface {
 	// Name is the registry key, e.g. "picos-hw" or "nanos".
 	Name() string
 	// Run executes the trace. The returned Result may leave the
 	// Engine/Workload labels empty; sim.Run stamps them.
 	Run(tr *trace.Trace, spec Spec) (*Result, error)
-}
-
-// StreamEngine is implemented by engines that can feed from a
-// trace.Source under a bounded descriptor window (Spec.Window > 0)
-// instead of indexing a materialized trace. RunStream must keep at most
-// Spec.Window created-but-unretired descriptors live, so arbitrarily
-// long sources replay in O(window) heap.
-type StreamEngine interface {
-	Engine
+	// RunStream feeds from a trace.Source under a bounded descriptor
+	// window (Spec.Window > 0) instead of indexing a materialized trace.
+	// It must keep at most Spec.Window created-but-unretired descriptors
+	// live, so arbitrarily long sources replay in O(window) heap.
 	RunStream(src trace.Source, spec Spec) (*Result, error)
 }
 
@@ -140,53 +135,38 @@ func RunTrace(tr *trace.Trace, spec Spec) (*Result, error) {
 		return nil, err
 	}
 	res, err := e.Run(tr, spec)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", e.Name(), tr.Name, err)
-	}
-	res.Engine = e.Name()
-	if res.Workload == "" {
-		res.Workload = tr.Name
-	}
-	return res, nil
+	return label(e, tr.Name, res, err)
 }
 
-// RunSource executes a streaming task source on the spec's engine.
-// With Window == 0 (unbounded) the source is materialized and runs the
-// legacy whole-trace path — byte-identical to RunTrace by construction.
-// A positive window requires the engine to implement StreamEngine.
+// RunSource executes a streaming task source on the spec's engine under
+// the spec's bounded window. With Window == 0 (unbounded) the source is
+// materialized and runs through RunTrace.
 func RunSource(src trace.Source, spec Spec) (*Result, error) {
 	spec = spec.WithDefaults()
+	if spec.Window <= 0 {
+		tr, err := trace.Materialize(src)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %s on %s: %w", spec.Engine, src.Name(), err)
+		}
+		return RunTrace(tr, spec)
+	}
 	e, err := Lookup(spec.Engine)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Window <= 0 {
-		tr, err := trace.Materialize(src)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s on %s: %w", e.Name(), src.Name(), err)
-		}
-		res, err := e.Run(tr, spec)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s on %s: %w", e.Name(), tr.Name, err)
-		}
-		res.Engine = e.Name()
-		if res.Workload == "" {
-			res.Workload = tr.Name
-		}
-		return res, nil
-	}
-	se, ok := e.(StreamEngine)
-	if !ok {
-		return nil, fmt.Errorf("sim: engine %s cannot stream (window %d set, but it does not implement StreamEngine)",
-			e.Name(), spec.Window)
-	}
-	res, err := se.RunStream(src, spec)
+	res, err := e.RunStream(src, spec)
+	return label(e, src.Name(), res, err)
+}
+
+// label wraps an engine error with the engine and workload names, or
+// stamps both onto the engine's Result.
+func label(e Engine, workload string, res *Result, err error) (*Result, error) {
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", e.Name(), src.Name(), err)
+		return nil, fmt.Errorf("sim: %s on %s: %w", e.Name(), workload, err)
 	}
 	res.Engine = e.Name()
 	if res.Workload == "" {
-		res.Workload = src.Name()
+		res.Workload = workload
 	}
 	return res, nil
 }

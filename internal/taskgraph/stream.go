@@ -1,7 +1,7 @@
 package taskgraph
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -78,12 +78,13 @@ func (inc *Incremental) Preds(id int32, deps []trace.Dep) []int32 {
 
 // dedupeInc matches Build's dedupe but keeps the backing array for
 // scratch reuse (dedupe may alias a subslice; here the caller owns the
-// buffer either way).
+// buffer either way) and sorts without sort.Slice's per-call swapper
+// allocation.
 func dedupeInc(xs []int32) []int32 {
 	if len(xs) <= 1 {
 		return xs
 	}
-	sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
+	slices.Sort(xs)
 	w := 1
 	for _, x := range xs[1:] {
 		if x != xs[w-1] {
