@@ -153,6 +153,9 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("nanos: %w", err)
+	}
 	present := make([]bool, len(tr.Kinds)+1)
 	for i := range tr.Tasks {
 		present[tr.Tasks[i].Kind] = true
@@ -167,7 +170,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	n := len(tr.Tasks)
 	res := &Result{Start: make([]uint64, n), Finish: make([]uint64, n)}
 	cfg.Window = 0
-	return simulate(trace.FromTrace(tr), cfg, classes, prio, res)
+	return simulate(trace.FromTrace(tr), cfg, classes, prio, res, true)
 }
 
 // RunSource simulates the software-only runtime on a streaming source
@@ -194,7 +197,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 	if err := classes.CheckCoverage(kinds, present); err != nil {
 		return nil, err
 	}
-	return simulate(src, cfg, classes, nil, &Result{})
+	return simulate(src, cfg, classes, nil, &Result{}, false)
 }
 
 // event kinds for the discrete-event simulation.
@@ -299,8 +302,10 @@ var loops = sync.Pool{New: func() any {
 //
 // Only predecessors still live gate a new task; a finished one already
 // released its constraint. res arrives with its Start/Finish arrays
-// allocated when the schedule is to be recorded.
-func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64, res *Result) (*Result, error) {
+// allocated when the schedule is to be recorded. Descriptors are
+// validated as they arrive unless validated says the whole source
+// already was.
+func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64, res *Result, validated bool) (*Result, error) {
 	l := loops.Get().(*loop)
 	defer func() {
 		// Hand the (possibly grown) state back emptied, error paths
@@ -371,8 +376,10 @@ func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64
 			}
 			return nil
 		}
-		if err := trace.ValidateTask(&t, fetched, len(kinds)); err != nil {
-			return fmt.Errorf("nanos: %w", err)
+		if !validated {
+			if err := trace.ValidateTask(&t, fetched, len(kinds)); err != nil {
+				return fmt.Errorf("nanos: %w", err)
+			}
 		}
 		pending, pendingOK = t, true
 		parked = false

@@ -5,7 +5,6 @@
 package perfect
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 
@@ -24,7 +23,11 @@ type Result struct {
 	Finish   []uint64
 }
 
-// runHeap orders running tasks by finish time.
+// runHeap orders running tasks by finish time. It is a typed binary
+// heap rather than container/heap (which boxes every pushed item into an
+// interface), and its sift steps make exactly container/heap's
+// comparisons on finish time alone, with no tie-break: the pop order of
+// equal finish times sets the ready order, and so the schedule.
 type runHeap []runItem
 
 type runItem struct {
@@ -33,11 +36,44 @@ type runItem struct {
 	worker int32 // heterogeneous path only; 0 on the homogeneous path
 }
 
-func (h runHeap) Len() int           { return len(h) }
-func (h runHeap) Less(i, j int) bool { return h[i].finish < h[j].finish }
-func (h runHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)        { *h = append(*h, x.(runItem)) }
-func (h *runHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+//picos:hotpath
+func (h *runHeap) push(it runItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if s[j].finish >= s[i].finish {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+//picos:hotpath
+func (h *runHeap) pop() runItem {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].finish < s[j].finish {
+			j = r
+		}
+		if s[j].finish >= s[i].finish {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	return top
+}
 
 // nextEvent reports the cycle of the earliest in-flight completion —
 // the run's event horizon, the perfect-scheduler counterpart of
@@ -80,6 +116,9 @@ func Run(tr *trace.Trace, workers int) (*Result, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("perfect: need at least 1 worker, got %d", workers)
 	}
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("perfect: %w", err)
+	}
 	g := taskgraph.Build(tr)
 	n := g.N
 	res := &Result{
@@ -116,14 +155,14 @@ func Run(tr *trace.Trace, workers int) (*Result, error) {
 	scheduled := 0
 	readyHead := 0
 
-	for scheduled < n || running.Len() > 0 {
+	for scheduled < n || len(*running) > 0 {
 		// Start everything we can at the current time.
 		for free > 0 && readyHead < len(ready) {
 			t := ready[readyHead]
 			readyHead++
 			res.Start[t] = now
 			res.Finish[t] = now + g.Durations[t]
-			heap.Push(running, runItem{finish: res.Finish[t], task: t})
+			running.push(runItem{finish: res.Finish[t], task: t})
 			free--
 			scheduled++
 		}
@@ -137,7 +176,7 @@ func Run(tr *trace.Trace, workers int) (*Result, error) {
 		// Advance to the next completion horizon (batch all at the same
 		// cycle).
 		now = next
-		it := heap.Pop(running).(runItem)
+		it := running.pop()
 		complete := func(t int32) {
 			for _, s := range g.Succ[t] {
 				remaining[s]--
@@ -148,8 +187,8 @@ func Run(tr *trace.Trace, workers int) (*Result, error) {
 			free++
 		}
 		complete(it.task)
-		for running.Len() > 0 && (*running)[0].finish == now {
-			complete(heap.Pop(running).(runItem).task)
+		for len(*running) > 0 && (*running)[0].finish == now {
+			complete(running.pop().task)
 		}
 	}
 
@@ -186,6 +225,9 @@ func RunClasses(tr *trace.Trace, classes sched.Classes) (*Result, error) {
 	}
 	if err := classes.Validate(); err != nil {
 		return nil, err
+	}
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("perfect: %w", err)
 	}
 	g := taskgraph.Build(tr)
 	n := g.N
@@ -334,7 +376,7 @@ func runClassList(tr *trace.Trace, classes sched.Classes, g *taskgraph.Graph, el
 	now := uint64(0)
 	scheduled := 0
 
-	for scheduled < n || running.Len() > 0 {
+	for scheduled < n || len(running) > 0 {
 		// Grant pass: place every ready task (in list order) that has an
 		// idle eligible worker; the rest stay ready. Placements only
 		// consume workers, so one pass is complete.
@@ -348,7 +390,7 @@ func runClassList(tr *trace.Trace, classes sched.Classes, g *taskgraph.Graph, el
 			dur := classes.Scale(int(classOf[wi]), g.Durations[t])
 			res.Start[t] = now
 			res.Finish[t] = now + dur
-			heap.Push(&running, runItem{finish: res.Finish[t], task: t, worker: int32(wi)})
+			running.push(runItem{finish: res.Finish[t], task: t, worker: int32(wi)})
 			scheduled++
 		}
 		ready = kept
@@ -369,9 +411,9 @@ func runClassList(tr *trace.Trace, classes sched.Classes, g *taskgraph.Graph, el
 			}
 			idle[classOf[it.worker]].Push(int(it.worker))
 		}
-		complete(heap.Pop(&running).(runItem))
-		for running.Len() > 0 && running[0].finish == now {
-			complete(heap.Pop(&running).(runItem))
+		complete(running.pop())
+		for len(running) > 0 && running[0].finish == now {
+			complete(running.pop())
 		}
 	}
 

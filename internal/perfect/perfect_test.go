@@ -1,7 +1,9 @@
 package perfect
 
 import (
+	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -130,5 +132,64 @@ func TestGreedyBoundProperty(t *testing.T) {
 		if r.Makespan > bound {
 			t.Fatalf("trial %d: makespan %d exceeds Graham bound %d", trial, r.Makespan, bound)
 		}
+	}
+}
+
+// refHeap is container/heap over runItems, ordered on finish time alone:
+// the reference the typed runHeap must match.
+type refHeap []runItem
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].finish < h[j].finish }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(runItem)) }
+func (h *refHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+// TestRunHeapMatchesContainerHeap: random push/pop sequences over a few
+// distinct finish times (so equal keys abound) leave the typed heap in
+// the same layout as container/heap after every step and pop the same
+// items in the same order — the tie order that sets the schedule.
+func TestRunHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		var got runHeap
+		var want refHeap
+		for op := 0; op < 400 || len(got) > 0; op++ {
+			if op < 400 && (len(got) == 0 || rng.Intn(5) < 3) {
+				it := runItem{finish: uint64(rng.Intn(6)), task: int32(op), worker: int32(rng.Intn(4))}
+				got.push(it)
+				heap.Push(&want, it)
+			} else if g, w := got.pop(), heap.Pop(&want).(runItem); g != w {
+				t.Fatalf("trial %d op %d: popped %+v, container/heap pops %+v", trial, op, g, w)
+			}
+			if !slices.Equal(got, runHeap(want)) {
+				t.Fatalf("trial %d op %d: heap layout diverged from container/heap", trial, op)
+			}
+		}
+	}
+}
+
+// BenchmarkRun times one roofline run on the two software-runtime
+// workloads: the dependence analysis, the list scheduler and the Result
+// schedule arrays.
+func BenchmarkRun(b *testing.B) {
+	for _, w := range []struct {
+		app            apps.App
+		problem, block int
+	}{{apps.Cholesky, 2048, 32}, {apps.H264Dec, 10, 2}} {
+		res, err := apps.Generate(w.app, w.problem, w.block)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := res.Trace
+		b.Run(tr.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Run(tr, 12); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(tr.Tasks))*float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
+		})
 	}
 }

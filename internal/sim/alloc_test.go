@@ -23,18 +23,27 @@ import (
 //     allocations; everything else (accelerator memories, FIFOs, worker
 //     heaps, the horizon heap) is pool-reused. Headroom covers pool
 //     misses when a GC lands mid-measurement.
-//   - nanos on cholesky/32 (45760 tasks, 12 workers): the pooled event
-//     loop measured 13,788 allocations per warm run, nearly all of them
-//     the per-address dependence state of taskgraph.Incremental. The
-//     bound sits far below the 616,739 of the earlier container/heap
-//     loop, whose interface boxing cost one allocation per event push.
+//   - nanos on cholesky/32 (45,760 tasks, 12 workers) and h264dec/2
+//     (34,800 tasks): the pooled event loop and its pointer-free
+//     taskgraph.Incremental reuse every buffer, so a warm run measured 9
+//     allocations on each — the Result and its schedule arrays. The
+//     per-address analysis state used to cost 13,788 and 102,072.
+//   - perfect on cholesky/32 and h264dec/2: the roofline builds a fresh
+//     taskgraph.Graph per run — two CSR arenas plus the row headers —
+//     and its analysis map grows with the distinct addresses (2,080 and
+//     34,810), which measured 61 and 317 allocations per warm run. A
+//     map-of-pointers analysis with one slice per task and container/heap
+//     boxing used to cost 341,361 and 391,851.
 func TestWarmRunTraceAllocs(t *testing.T) {
 	for _, c := range []struct {
 		spec  sim.Spec
 		bound float64
 	}{
 		{sim.Spec{Engine: "picos-hw", Workload: "case2"}, 24},
-		{sim.Spec{Engine: "nanos", Workload: "cholesky", Block: 32, Workers: 12}, 30_000},
+		{sim.Spec{Engine: "nanos", Workload: "cholesky", Block: 32, Workers: 12}, 100},
+		{sim.Spec{Engine: "nanos", Workload: "h264dec", Block: 2}, 100},
+		{sim.Spec{Engine: "perfect", Workload: "cholesky", Block: 32}, 200},
+		{sim.Spec{Engine: "perfect", Workload: "h264dec", Block: 2}, 1_000},
 	} {
 		spec := c.spec.WithDefaults()
 		tr, err := sim.BuildWorkload(spec)

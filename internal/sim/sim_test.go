@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,6 +125,55 @@ func TestRunTraceAndVerify(t *testing.T) {
 	res.Start[1] = 0
 	if err := sim.Verify(tr, res); err == nil {
 		t.Fatal("dependence-violating schedule verified")
+	}
+}
+
+// TestMalformedTraceErrors: every registered engine, with and without
+// worker classes, rejects a malformed hand-built trace with the typed
+// trace error — never a panic, a silent run or a misreported cause.
+func TestMalformedTraceErrors(t *testing.T) {
+	valid := func() *trace.Trace {
+		tr := &trace.Trace{Name: "malformed", Kinds: []string{"k"}}
+		for i := 0; i < 4; i++ {
+			tr.Tasks = append(tr.Tasks, trace.Task{ID: uint32(i), Duration: 10, Kind: 1,
+				Deps: []trace.Dep{{Addr: 0x100, Dir: trace.InOut}, {Addr: 0x200 + 64*uint64(i), Dir: trace.Out}}})
+		}
+		return tr
+	}
+	tooMany := make([]trace.Dep, trace.MaxDeps+1)
+	for i := range tooMany {
+		tooMany[i] = trace.Dep{Addr: 0x1000 + 64*uint64(i), Dir: trace.In}
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*trace.Task)
+		want   error
+	}{
+		{"bad kind", func(tk *trace.Task) { tk.Kind = 2 }, trace.ErrBadKind},
+		{"bad ID", func(tk *trace.Task) { tk.ID = 7 }, trace.ErrBadID},
+		{"duplicate address", func(tk *trace.Task) { tk.Deps[1].Addr = tk.Deps[0].Addr }, trace.ErrDupAddr},
+		{"zero duration", func(tk *trace.Task) { tk.Duration = 0 }, trace.ErrZeroDuration},
+		{"too many deps", func(tk *trace.Task) { tk.Deps = tooMany }, trace.ErrTooManyDeps},
+	} {
+		for _, engine := range sim.Engines() {
+			for _, spec := range []sim.Spec{
+				{Engine: engine, Workers: 2},
+				{Engine: engine, WorkerClasses: "1xa+1xb:2.0"},
+			} {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d,classes=%s", c.name, engine, spec.Workers, spec.WorkerClasses), func(t *testing.T) {
+					tr := valid()
+					c.mutate(&tr.Tasks[2])
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("panicked: %v", r)
+						}
+					}()
+					if _, err := sim.RunTrace(tr, spec); !errors.Is(err, c.want) {
+						t.Fatalf("err = %v, want %v", err, c.want)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -6,52 +6,71 @@ import (
 	"repro/internal/trace"
 )
 
-// Incremental performs the same dependence analysis as Build one task at
-// a time, for streaming consumers that never hold the whole trace: feed
-// tasks in creation order and Preds returns each task's deduplicated
-// predecessor list — exactly Build's g.Pred entry for that index (the
-// differential test in stream_test.go enforces it).
+// Incremental is the dependence analysis, one task at a time: feed tasks
+// in creation order and Preds returns each task's deduplicated
+// predecessor list. Build is a loop over it; streaming consumers use it
+// directly and never hold the whole trace.
 //
-// Memory grows with the number of *distinct dependence addresses*, not
-// with the number of tasks: per address the analysis keeps the last
-// writer and the readers since that writer, which is the irreducible
-// state of OmpSs dependence semantics (any future task may still name
-// the address). Grid patterns touch O(width) addresses, so unbounded
-// replays stay bounded; fresh-address families inherently grow it.
+// Memory grows with the number of *distinct dependence addresses* plus
+// the readers outstanding since each address's last writer, not with the
+// number of tasks: that is the irreducible state of OmpSs dependence
+// semantics (any future task may still name the address). Grid patterns
+// touch O(width) addresses, so unbounded replays stay bounded;
+// fresh-address families inherently grow it.
+//
+// The state is pointer-free: the address map resolves to a slot in a
+// dense addrState array, and each address's readers form a linked list
+// through one shared node pool whose released nodes are recycled. Reset
+// keeps every buffer, so a warm analysis allocates nothing.
 type Incremental struct {
-	states  map[uint64]*addrState
+	slot    map[uint64]int32 // address -> index into addrs
+	addrs   []addrState
+	readers []readerNode // shared pool of reader-list nodes
+	free    int32        // head of the released-node list, -1 if empty
 	scratch []int32
 }
 
-// addrState is the per-address analysis state, shared in shape with
-// Build's local.
+// addrState is the per-address analysis state.
 type addrState struct {
-	lastWriter int32   // -1 if none
-	readers    []int32 // readers since lastWriter
+	lastWriter int32 // -1 if none
+	readHead   int32 // first node of the readers since lastWriter, -1 if none
+}
+
+// readerNode links one reader into its address's reader list (or, once
+// released, into the free list).
+type readerNode struct {
+	task, next int32
 }
 
 // NewIncremental returns an empty analysis.
 func NewIncremental() *Incremental {
-	return &Incremental{states: make(map[uint64]*addrState)}
+	return &Incremental{slot: make(map[uint64]int32), free: -1}
 }
 
-// Reset empties the analysis for reuse, keeping the map's capacity.
+// Reset empties the analysis for reuse, keeping every buffer's capacity.
 func (inc *Incremental) Reset() {
-	clear(inc.states)
+	clear(inc.slot)
+	inc.addrs = inc.addrs[:0]
+	inc.readers = inc.readers[:0]
+	inc.free = -1
 }
 
 // Preds analyzes the next task (ID id, in creation order) and returns
 // its deduplicated, ascending predecessor list. The returned slice is
 // scratch owned by the Incremental — copy it if it must survive the
 // next call.
+//
+//picos:hotpath
 func (inc *Incremental) Preds(id int32, deps []trace.Dep) []int32 {
 	preds := inc.scratch[:0]
 	for _, d := range deps {
-		st := inc.states[d.Addr]
-		if st == nil {
-			st = &addrState{lastWriter: -1}
-			inc.states[d.Addr] = st
+		s, ok := inc.slot[d.Addr]
+		if !ok {
+			s = int32(len(inc.addrs))
+			inc.slot[d.Addr] = s
+			inc.addrs = append(inc.addrs, addrState{lastWriter: -1, readHead: -1})
 		}
+		st := &inc.addrs[s]
 		if d.Dir.Reads() && st.lastWriter >= 0 {
 			preds = append(preds, st.lastWriter) // RAW
 		}
@@ -59,38 +78,43 @@ func (inc *Incremental) Preds(id int32, deps []trace.Dep) []int32 {
 			if st.lastWriter >= 0 {
 				preds = append(preds, st.lastWriter) // WAW
 			}
-			for _, r := range st.readers { // WAR
-				if r != id {
-					preds = append(preds, r)
+			// WAR: every reader since the last writer, each node handed
+			// back to the free list as it is visited.
+			for r := st.readHead; r >= 0; {
+				nd := &inc.readers[r]
+				if nd.task != id {
+					preds = append(preds, nd.task)
 				}
+				next := nd.next
+				nd.next = inc.free
+				inc.free = r
+				r = next
 			}
 			st.lastWriter = id
-			st.readers = st.readers[:0]
+			st.readHead = -1
 		}
 		if d.Dir.Reads() && !d.Dir.Writes() {
-			st.readers = append(st.readers, id)
+			st.readHead = inc.pushReader(id, st.readHead)
 		}
 	}
-	preds = dedupeInc(preds)
+	slices.Sort(preds)
+	preds = slices.Compact(preds)
 	inc.scratch = preds
 	return preds
 }
 
-// dedupeInc matches Build's dedupe but keeps the backing array for
-// scratch reuse (dedupe may alias a subslice; here the caller owns the
-// buffer either way) and sorts without sort.Slice's per-call swapper
-// allocation.
-func dedupeInc(xs []int32) []int32 {
-	if len(xs) <= 1 {
-		return xs
+// pushReader links a node (task, next) from the free list, or a fresh
+// pool slot, and returns its index.
+//
+//picos:hotpath
+func (inc *Incremental) pushReader(task, next int32) int32 {
+	r := inc.free
+	if r < 0 {
+		r = int32(len(inc.readers))
+		inc.readers = append(inc.readers, readerNode{task: task, next: next})
+		return r
 	}
-	slices.Sort(xs)
-	w := 1
-	for _, x := range xs[1:] {
-		if x != xs[w-1] {
-			xs[w] = x
-			w++
-		}
-	}
-	return xs[:w]
+	inc.free = inc.readers[r].next
+	inc.readers[r] = readerNode{task: task, next: next}
+	return r
 }

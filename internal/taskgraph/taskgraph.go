@@ -34,7 +34,11 @@ type Graph struct {
 	Durations []uint64
 }
 
-// Build runs the dependence analysis over the trace.
+// Build runs the dependence analysis over the trace: one Incremental
+// pass writes every Pred row, then a counting-sort transpose writes the
+// Succ rows. Each side lives in one flat arena sized up front (CSR
+// layout); the rows are capped sub-slices of it, so an append to one row
+// reallocates instead of overwriting its neighbour.
 func Build(tr *trace.Trace) *Graph {
 	n := len(tr.Tasks)
 	g := &Graph{
@@ -44,68 +48,51 @@ func Build(tr *trace.Trace) *Graph {
 		Durations: make([]uint64, n),
 	}
 
-	type addrState struct {
-		lastWriter int32   // -1 if none
-		readers    []int32 // readers since lastWriter
+	// Every dependence contributes at most one distinct writer
+	// predecessor (RAW and WAW name the same task) and each read-only
+	// one a single reader node, hence at most one later WAR edge: sized
+	// by these counts, neither the arena nor the reader pool regrows.
+	deps, reads := 0, 0
+	for i := range tr.Tasks {
+		for _, d := range tr.Tasks[i].Deps {
+			deps++
+			if !d.Dir.Writes() {
+				reads++
+			}
+		}
 	}
-	states := make(map[uint64]*addrState)
-
-	// Collect raw edges; dedupe at the end.
-	preds := make([][]int32, n)
-
+	pred := make([]int32, 0, deps+reads)
+	outDeg := make([]int32, n+1)
+	inc := NewIncremental()
+	inc.readers = make([]readerNode, 0, reads)
 	for i := range tr.Tasks {
 		task := &tr.Tasks[i]
 		g.Durations[i] = task.Duration
-		ti := int32(i)
-		for _, d := range task.Deps {
-			st := states[d.Addr]
-			if st == nil {
-				st = &addrState{lastWriter: -1}
-				states[d.Addr] = st
-			}
-			if d.Dir.Reads() && st.lastWriter >= 0 {
-				preds[i] = append(preds[i], st.lastWriter) // RAW
-			}
-			if d.Dir.Writes() {
-				if st.lastWriter >= 0 {
-					preds[i] = append(preds[i], st.lastWriter) // WAW
-				}
-				for _, r := range st.readers { // WAR
-					if r != ti {
-						preds[i] = append(preds[i], r)
-					}
-				}
-				st.lastWriter = ti
-				st.readers = st.readers[:0]
-			}
-			if d.Dir.Reads() && !d.Dir.Writes() {
-				st.readers = append(st.readers, ti)
-			}
+		start := len(pred)
+		for _, p := range inc.Preds(int32(i), task.Deps) {
+			pred = append(pred, p)
+			outDeg[p+1]++
 		}
+		g.Pred[i] = pred[start:len(pred):len(pred)]
 	}
 
-	for i := range preds {
-		p := dedupe(preds[i])
-		g.Pred[i] = p
-		for _, from := range p {
-			g.Succ[from] = append(g.Succ[from], int32(i))
+	// Transpose: outDeg becomes the row offsets, then each row's write
+	// cursor. Visiting tasks in ascending order keeps every Succ row
+	// ascending.
+	for i := 1; i <= n; i++ {
+		outDeg[i] += outDeg[i-1]
+	}
+	succ := make([]int32, len(pred))
+	for i := 0; i < n; i++ {
+		g.Succ[i] = succ[outDeg[i]:outDeg[i+1]:outDeg[i+1]]
+	}
+	for i := 0; i < n; i++ {
+		for _, p := range g.Pred[i] {
+			succ[outDeg[p]] = int32(i)
+			outDeg[p]++
 		}
 	}
 	return g
-}
-
-func dedupe(xs []int32) []int32 {
-	if len(xs) <= 1 {
-		return xs
-	}
-	sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // NumEdges returns the number of (deduplicated) dependence edges.
