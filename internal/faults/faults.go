@@ -153,8 +153,9 @@ type PicosFaults struct {
 	// the head task is refused (0 = off).
 	Degrade uint64
 
-	// Refused counts tasks the gateway popped under degrade recovery.
-	Refused uint64
+	// RefusedIDs lists the tasks the gateway popped under degrade
+	// recovery, in pop order, so the platform can retire each one.
+	RefusedIDs []uint32
 	// Fired reports whether any accelerator-side fault actually
 	// triggered during the run.
 	Fired bool
@@ -212,7 +213,7 @@ func (f *PicosFaults) Reset() {
 	for i := range f.gwStalls {
 		f.gwStalls[i].applied = false
 	}
-	f.Refused = 0
+	f.RefusedIDs = f.RefusedIDs[:0]
 	f.Fired = false
 }
 

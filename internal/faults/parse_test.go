@@ -173,7 +173,7 @@ func TestPicosSide(t *testing.T) {
 		t.Error("Fired not set")
 	}
 	f.Reset()
-	if f.Fired || f.Refused != 0 {
+	if f.Fired || len(f.RefusedIDs) != 0 {
 		t.Errorf("Reset left state: %+v", f)
 	}
 	if d := f.StallDelay(0, 60); d != 100 {

@@ -132,11 +132,11 @@ type Config struct {
 	// Watchdog aborts the run if no task starts or finishes for this
 	// many cycles (0: default 100M).
 	Watchdog uint64
-	// Window bounds streaming ingestion (RunStream only): the maximum
-	// number of created-but-unretired task descriptors kept live at
-	// once. RunStream requires it positive; Run (materialized) ignores
-	// it. See stream.go for the retirement rules and how the window
-	// composes with Picos.NewQDepth and RunAhead.
+	// Window bounds RunStream's descriptor window: the maximum number of
+	// created-but-unretired task descriptors kept live at once, 0
+	// meaning unbounded. Run always runs unbounded and ignores it. See
+	// stream.go for the retirement rules and how the window composes
+	// with Picos.NewQDepth and RunAhead.
 	Window int
 	// RunAhead bounds the FullSystem master's created-but-unsubmitted
 	// descriptor window: while a submission is backpressured (the
@@ -250,19 +250,15 @@ type Platform struct {
 // NewPlatform returns an empty platform; the first Run sizes it.
 func NewPlatform() *Platform { return &Platform{} }
 
-// Run drives the trace through the platform under cfg. Resets between
-// runs are proven equivalent to a fresh platform by the reuse
-// equivalence suite — including after a run that wedged.
+// Run drives the trace through the platform under cfg: the streaming
+// loop over the trace with an unbounded window, recording the per-task
+// schedule. Resets between runs are proven equivalent to a fresh
+// platform by the reuse equivalence suite — including after a run that
+// wedged.
 func (pl *Platform) Run(tr *trace.Trace, cfg Config) (*Result, error) {
-	if err := pl.r.reset(tr, cfg); err != nil {
-		// A failed reset may already have taken the trace reference;
-		// scrub so a pooled platform never retains the caller's trace.
-		pl.r.scrub()
-		return nil, err
-	}
-	res, err := pl.r.run()
-	pl.r.scrub()
-	return res, err
+	pl.r.ts = *trace.FromTrace(tr)
+	cfg.Window = 0
+	return pl.r.drive(&pl.r.ts, tr, cfg)
 }
 
 // platformPool keeps warm engines across Run calls: sweeps over

@@ -88,7 +88,7 @@ func TestRunAheadWindowBounds(t *testing.T) {
 	cfg.FastForward = false
 	cfg.RunAhead = 3
 	cfg.Picos.NewQDepth = 1
-	if err := r.reset(tr, cfg); err != nil {
+	if err := r.reset(trace.FromTrace(tr), tr, cfg); err != nil {
 		t.Fatal(err)
 	}
 	maxAhead := 0

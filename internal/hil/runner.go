@@ -62,28 +62,32 @@ type stampedTask struct {
 }
 
 type runner struct {
-	tr  *trace.Trace
 	cfg Config
 	p   *picos.Picos
 
-	// Streaming ingestion state (see stream.go); src is nil on
-	// materialized runs and every field below it is then dormant. When
-	// src is set the runner fetches descriptors on demand, keeps at most
-	// window of them live in the map, and records aggregate probes in
-	// place of the per-task schedule arrays.
+	// Ingestion state (see stream.go). Every run feeds from src: Run
+	// hands over ts, the adapter over its materialized trace, and an
+	// unbounded window. mat is the trace behind a materialized source,
+	// indexed in place; a streamed source keeps its live descriptors in
+	// the live map instead. At most window descriptors are live at once
+	// (0: unbounded).
 	src    trace.Source
+	ts     trace.TraceSource
+	mat    *trace.Trace
 	window int
-	kinds  []string // kind table: tr.Kinds or src.Kinds()
-	live   map[uint32]*trace.Task
+	kinds  []string // src.Kinds()
+	live   map[uint32]trace.Task
 	// fetched counts committed descriptors (the next task's required
-	// ID); lookahead holds a peeked-but-uncommitted task; feedErr parks
-	// a mid-stream validation or source error for the run loops.
+	// ID); lookahead holds a peeked-but-uncommitted streamed task;
+	// feedErr parks a mid-stream validation or source error for the run
+	// loops; degraded counts the degrade refusals already retired.
 	fetched     int
 	srcDone     bool
 	lookahead   trace.Task
 	lookaheadOK bool
 	feedErr     error
-	// Aggregate probes for the streaming Result: running duration sum
+	degraded    int
+	// Running probes for a Result without schedule arrays: duration sum
 	// (Baseline), max finish (Makespan), first/last start and start
 	// count (FirstStart, ThrTask).
 	aggDur       uint64
@@ -117,12 +121,11 @@ type runner struct {
 	trivial bool
 	pool    sched.Pool[picos.TaskHandle]
 
-	// ARM master state (FullSystem): next task to create and when the
-	// master core is free again. In Full-system mode the master also
-	// drives the AXI write for its own submissions, so the send occupies
-	// both the master and the link (that coupling is what makes the
-	// Full-system thrTask ~ create+submit+send, as in Table IV).
-	masterNext int
+	// ARM master state (FullSystem): when the master core is free again.
+	// In Full-system mode the master also drives the AXI write for its
+	// own submissions, so the send occupies both the master and the link
+	// (that coupling is what makes the Full-system thrTask ~
+	// create+submit+send, as in Table IV).
 	masterFree uint64
 	// createdAhead counts FullSystem descriptors created but not yet
 	// accepted by the accelerator's new-task queue (waiting for the
@@ -132,10 +135,6 @@ type runner struct {
 	// pipeline full, once the window is exhausted.
 	createdAhead int
 
-	// feedNext is the HW-only/HW+comm preload cursor under a bounded
-	// new-task queue: tasks [feedNext, len) have not been handed to the
-	// accelerator yet and are submitted (HWOnly) as the queue drains.
-	feedNext int
 	// parkedNew holds tasks whose Submit was rejected with ErrNewQFull
 	// at link delivery: the descriptor is parked, in arrival order, and
 	// retried every evaluated cycle until the queue accepts it — a
@@ -159,6 +158,7 @@ type runner struct {
 	busFree  uint64
 	busSetup bool // lazy one-time queue setup performed
 
+	// The per-task schedule, recorded by Run only (nil when streaming).
 	start  []uint64
 	finish []uint64
 	order  []uint32
@@ -188,20 +188,28 @@ type runner struct {
 	refusedIDs []uint32 // refused task IDs under avoid-deadlock-park
 }
 
-// reset prepares the runner for a materialized run, reusing every
-// allocation a previous run left behind: the accelerator (picos.Reset),
-// the worker heaps, the link queues and the in-flight buffers. Only the
-// per-task schedule arrays are freshly allocated — they escape into the
-// Result.
-func (r *runner) reset(tr *trace.Trace, cfg Config) error {
-	r.tr, r.src, r.window = tr, nil, 0
-	return r.resetCommon(cfg)
+// drive runs src through the platform under cfg. whole is the
+// materialized trace when the caller hands over the whole graph (Run):
+// then the coverage check sees the kinds actually used, the priority
+// policy gets its bottom levels and the run records its schedule.
+func (r *runner) drive(src trace.Source, whole *trace.Trace, cfg Config) (*Result, error) {
+	var res *Result
+	err := r.reset(src, whole, cfg)
+	if err == nil {
+		res, err = r.run()
+	}
+	// Drop the references the run handed out so a pooled runner does not
+	// retain them, error paths included.
+	r.scrub()
+	return res, err
 }
 
-// resetCommon is the mode-independent part of reset, shared by the
-// materialized (reset) and streaming (resetStream) entry points; the
-// caller has already set r.tr/r.src/r.window.
-func (r *runner) resetCommon(cfg Config) error {
+// reset prepares the runner for a run, reusing every allocation a
+// previous run left behind: the accelerator (picos.Reset), the worker
+// heaps, the link queues, the in-flight buffers and the live map. Only
+// the per-task schedule arrays are freshly allocated — they escape into
+// the Result.
+func (r *runner) reset(src trace.Source, whole *trace.Trace, cfg Config) error {
 	if len(cfg.Classes) > 0 {
 		if cfg.Workers != 0 {
 			return fmt.Errorf("hil: both Workers (%d) and Classes (%q) set", cfg.Workers, cfg.Classes.String())
@@ -213,6 +221,9 @@ func (r *runner) resetCommon(cfg Config) error {
 	}
 	if cfg.Workers <= 0 {
 		return fmt.Errorf("hil: need at least 1 worker, got %d", cfg.Workers)
+	}
+	if cfg.Mode > FullSystem {
+		return fmt.Errorf("hil: unknown mode %d", cfg.Mode)
 	}
 	if cfg.Watchdog == 0 {
 		cfg.Watchdog = 100_000_000
@@ -226,15 +237,18 @@ func (r *runner) resetCommon(cfg Config) error {
 	if cfg.RunAhead == 0 {
 		cfg.RunAhead = DefaultRunAhead
 	}
-	if r.src == nil {
-		if err := r.tr.Validate(); err != nil {
+	if err := src.Rewind(); err != nil {
+		return fmt.Errorf("hil: %w", err)
+	}
+	r.src, r.window, r.kinds = src, cfg.Window, src.Kinds()
+	// A materialized source is validated once, here; a streamed one task
+	// by task as it arrives (srcPeek).
+	if r.mat = trace.AlreadyMaterialized(src); r.mat != nil {
+		if err := r.mat.Validate(); err != nil {
 			return fmt.Errorf("hil: %w", err)
 		}
-		r.kinds = r.tr.Kinds
-	} else {
-		// Streaming tasks are validated one at a time as they arrive
-		// (srcPeek); only the kind table exists up front.
-		r.kinds = r.src.Kinds()
+	} else if r.live == nil {
+		r.live = make(map[uint32]trace.Task)
 	}
 	// Split the fault plan into its two injectors before the accelerator
 	// is configured: the dct/trs clauses (plus the degrade knob) ride
@@ -281,41 +295,34 @@ func (r *runner) resetCommon(cfg Config) error {
 		if len(classes) == 0 {
 			classes = sched.Single(cfg.Workers)
 		}
-		present := make([]bool, len(r.kinds)+1)
-		if r.src == nil {
-			for i := range r.tr.Tasks {
-				present[r.tr.Tasks[i].Kind] = true
+		// A stream's kind usage and bottom levels are unknown up front:
+		// the class list must cover every declared kind, and the priority
+		// policy is refused by the pool.
+		var present []bool
+		var prio []uint64
+		if whole != nil {
+			present = make([]bool, len(r.kinds)+1)
+			for i := range whole.Tasks {
+				present[whole.Tasks[i].Kind] = true
 			}
-		} else {
-			// A stream's kind usage is unknown up front: require the
-			// class list to cover every declared kind, plus unkinded
-			// tasks, conservatively.
-			for i := range present {
-				present[i] = true
+			if cfg.Sched == sched.Priority {
+				prio = taskgraph.Build(whole).BottomLevels()
 			}
 		}
 		if err := classes.CheckCoverage(r.kinds, present); err != nil {
 			return err
 		}
-		var prio []uint64
-		if cfg.Sched == sched.Priority {
-			// Streaming rejects the priority policy in resetStream, so
-			// the whole graph is available here.
-			prio = taskgraph.Build(r.tr).BottomLevels()
+		if err := r.pool.Reset(classes, cfg.Sched, cfg.Steal, r.kinds, prio); err != nil {
+			return fmt.Errorf("hil: %w", err)
 		}
-		r.pool.Reset(classes, cfg.Sched, cfg.Steal, r.kinds, prio)
 		for i := 0; i < cfg.Workers; i++ {
 			r.pool.Park(i)
 		}
 	}
 	r.busyH = r.busyH[:0]
 
-	r.masterNext, r.masterFree = 0, 0
+	r.masterFree = 0
 	r.createdAhead = 0
-	r.feedNext = 0
-	if r.src == nil {
-		r.feedNext = len(r.tr.Tasks)
-	}
 	r.parkedNew.Reset()
 	r.pendingNew.Reset()
 	r.pendingFin.Reset()
@@ -328,81 +335,26 @@ func (r *runner) resetCommon(cfg Config) error {
 	r.dead, r.lost, r.recovered, r.refused = 0, 0, 0, 0
 	r.refusedIDs = nil
 
-	if r.src != nil {
-		if r.live == nil {
-			r.live = make(map[uint32]*trace.Task, r.window)
-		} else {
-			clear(r.live)
-		}
-		r.fetched, r.srcDone, r.lookaheadOK, r.feedErr = 0, false, false, nil
-		r.aggDur, r.aggMakespan, r.aggFirst, r.aggLastStart = 0, 0, 0, 0
-		r.aggFirstSet, r.aggStarted = false, 0
-		// No per-task schedule arrays: they are exactly the O(tasks)
-		// state the window exists to avoid; the Result carries the
-		// aggregate probes instead.
-		r.start, r.finish, r.order = nil, nil, nil
-	} else {
-		n := len(r.tr.Tasks)
+	r.fetched, r.srcDone, r.lookaheadOK, r.feedErr, r.degraded = 0, false, false, nil, 0
+	r.aggDur, r.aggMakespan, r.aggFirst, r.aggLastStart = 0, 0, 0, 0
+	r.aggFirstSet, r.aggStarted = false, 0
+	if whole != nil {
+		n := len(whole.Tasks)
 		r.start = make([]uint64, n)
 		r.finish = make([]uint64, n)
 		r.order = make([]uint32, 0, n)
 	}
 	r.done, r.lastProgress = 0, 0
-
-	switch cfg.Mode {
-	case HWOnly:
-		if r.src != nil {
-			// Streaming submits straight from the source in stepSubmits,
-			// window-gated, starting at cycle 0.
-			break
-		}
-		// Preload the trace. With a bounded new-task queue the submission
-		// buffer fills; the rest feeds in from feedNext as it drains.
-		r.feedNext = 0
-		for i := range r.tr.Tasks {
-			err := r.p.Submit(r.tr.Tasks[i].ID, r.tr.Tasks[i].Deps)
-			if errors.Is(err, picos.ErrNewQFull) {
-				break
-			}
-			if errors.Is(err, picos.ErrUnadmittable) {
-				// Deadlock-avoidance admission refused the dependence
-				// set at submit; account it and keep feeding.
-				r.refuse(uint32(i))
-				r.feedNext = i + 1
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			r.feedNext = i + 1
-		}
-	case HWComm:
-		if r.src != nil {
-			// stepFeed hands tasks to the link as the window opens.
-			break
-		}
-		for i := range r.tr.Tasks {
-			r.pendingNew.Push(stampedTask{at: 0, idx: uint32(i)})
-		}
-	case FullSystem:
-		// Tasks are created one by one by the master in stepMaster.
-	default:
-		return fmt.Errorf("hil: unknown mode %d", cfg.Mode)
-	}
 	return nil
 }
 
-// scrub drops the references a finished run handed out (the trace, the
-// schedule arrays now owned by the Result) so a pooled runner does not
-// retain them; the reusable scratch stays.
+// scrub drops the references a finished run handed out (the source, the
+// trace, the schedule arrays now owned by the Result) so a pooled runner
+// does not retain them; the reusable scratch stays.
 func (r *runner) scrub() {
-	r.tr = nil
-	r.src = nil
-	r.kinds = nil
-	r.feedErr = nil
-	if r.live != nil {
-		clear(r.live) // keep the map's capacity, drop its descriptors
-	}
+	r.src, r.ts, r.mat, r.kinds = nil, trace.TraceSource{}, nil, nil
+	r.lookahead, r.feedErr = trace.Task{}, nil
+	clear(r.live) // keep the map's capacity, drop its descriptors
 	r.start, r.finish, r.order = nil, nil, nil
 }
 
@@ -415,15 +367,16 @@ func (r *runner) liveWork() bool {
 		r.readyBacklog.Len() > 0 || r.retryQ.Len() > 0
 }
 
-// accounted is the number of trace tasks that can no longer produce a
+// accounted is the number of fetched tasks that can no longer produce a
 // completion event: finished, refused at admission (structurally or by
 // degrade recovery inside the accelerator), or permanently lost to a
-// fault. The run loops terminate on accounted, not done, so a faulted
-// run with losses still drains instead of spinning forever.
+// fault. Every other fetched task is live, so the window and the run
+// loops' termination both count on it: a faulted run with losses still
+// drains instead of spinning forever.
 func (r *runner) accounted() int {
 	n := r.done + r.refused + r.lost
 	if f := r.cfg.Picos.Faults; f != nil {
-		n += int(f.Refused)
+		n += len(f.RefusedIDs)
 	}
 	return n
 }
@@ -446,19 +399,15 @@ func (r *runner) pendingWork() bool {
 }
 
 // backpressured reports that tasks are waiting on new-task queue space:
-// parked rejections, an unfinished materialized preload feed, or a
-// window-open streaming HW-only feed. Their retry can only succeed
-// after the GW pops the queue — an accelerator-internal event — so
-// while this holds the fast path adds the accelerator's event horizon
-// to its wake candidates. A streaming feed blocked on the *window* is
-// deliberately not included: it resumes at a retirement, and every
+// parked rejections or a window-open HW-only feed. Their retry can only
+// succeed after the GW pops the queue — an accelerator-internal event —
+// so while this holds the fast path adds the accelerator's event
+// horizon to its wake candidates. A feed blocked on the *window* is not
+// included: it resumes at a retirement, and every platform-side
 // retirement cycle (worker finish, refusal, loss) is already a wake
-// candidate.
+// candidate (degrade refusals are covered in nextWake).
 func (r *runner) backpressured() bool {
-	if r.parkedNew.Len() > 0 || r.feedPending() {
-		return true
-	}
-	return r.src != nil && r.cfg.Mode == HWOnly && r.windowOpen() && r.srcHasNext()
+	return r.parkedNew.Len() > 0 || (r.cfg.Mode == HWOnly && r.windowOpen() && r.srcHasNext())
 }
 
 // masterWindowOpen reports whether the FullSystem master may create the
@@ -468,9 +417,12 @@ func (r *runner) masterWindowOpen() bool {
 	return r.cfg.RunAhead < 0 || r.createdAhead < r.cfg.RunAhead
 }
 
-// stepSubmits retries parked submissions and advances the preload feed
-// while the accelerator's new-task queue has room. Every task submitted
-// here was validated before the run, so only ErrNewQFull can come back.
+// stepSubmits retries parked submissions and, in HW-only mode, submits
+// straight from the source while the descriptor window and the
+// accelerator's new-task queue both have room. A task becomes live at
+// the successful (or refused) submit — an ErrNewQFull rejection leaves
+// it uncommitted, not parked. Every task submitted here was validated,
+// so only ErrNewQFull can come back.
 //
 //picos:hotpath
 func (r *runner) stepSubmits(now uint64) {
@@ -499,43 +451,25 @@ func (r *runner) stepSubmits(now uint64) {
 		}
 		r.lastProgress = now
 	}
-	for r.parkedNew.Len() == 0 && r.feedPending() && r.p.NewQRoom() {
-		task := &r.tr.Tasks[r.feedNext]
+	if r.cfg.Mode != HWOnly {
+		return
+	}
+	for r.windowOpen() && r.p.NewQRoom() {
+		task, ok := r.srcPeek()
+		if !ok {
+			return
+		}
 		err := r.p.Submit(task.ID, task.Deps)
 		if errors.Is(err, picos.ErrUnadmittable) {
-			r.refuse(uint32(r.feedNext))
-			r.feedNext++
+			r.refuse(r.srcCommit(task))
 			r.lastProgress = now
 			continue
 		}
 		if err != nil {
 			return
 		}
-		r.feedNext++
+		r.srcCommit(task)
 		r.lastProgress = now
-	}
-	// Streaming HW-only feed: submit straight from the source while the
-	// descriptor window and the new-task queue both have room. A task
-	// becomes live at the successful (or refused) submit — an ErrNewQFull
-	// rejection leaves it uncommitted in the lookahead, not parked.
-	if r.src != nil && r.cfg.Mode == HWOnly {
-		for r.parkedNew.Len() == 0 && r.windowOpen() && r.p.NewQRoom() {
-			task, ok := r.srcPeek()
-			if !ok {
-				return
-			}
-			err := r.p.Submit(task.ID, task.Deps)
-			if errors.Is(err, picos.ErrUnadmittable) {
-				r.refuse(r.srcCommit())
-				r.lastProgress = now
-				continue
-			}
-			if err != nil {
-				return
-			}
-			r.srcCommit()
-			r.lastProgress = now
-		}
 	}
 }
 
@@ -554,6 +488,9 @@ func (r *runner) run() (*Result, error) {
 func (r *runner) runRef() (*Result, error) {
 	for r.tasksOutstanding() || !r.p.Idle() || r.pendingWork() {
 		now := r.p.Now()
+		if f := r.cfg.Picos.Faults; f != nil {
+			r.retireDegraded(f)
+		}
 		if r.flt != nil {
 			r.applyStops(now)
 		}
@@ -617,10 +554,10 @@ func (r *runner) wedged(now uint64) bool {
 	if r.backpressured() && r.p.NewQRoom() {
 		return false
 	}
-	// A streaming HW+comm feed with window room and tasks left will hand
-	// more work to the link next cycle. (A refusal retiring a parked
-	// head this cycle can open the window after stepFeed already ran.)
-	if r.src != nil && r.cfg.Mode == HWComm && r.windowOpen() && r.srcHasNext() {
+	// An HW+comm feed with window room and tasks left will hand more
+	// work to the link next cycle. (A refusal retiring a parked head this
+	// cycle can open the window after stepFeed already ran.)
+	if r.cfg.Mode == HWComm && r.windowOpen() && r.srcHasNext() {
 		return false
 	}
 	if len(r.busyH) > 0 {
@@ -633,11 +570,11 @@ func (r *runner) wedged(now uint64) bool {
 		return false
 	}
 	// A master with tasks left to create is alive only while its
-	// run-ahead window (and, streaming, the descriptor window) has room,
-	// or it is still paying for the previous creation; a window pinned
-	// full by a dead accelerator is not. With the descriptor window shut
-	// the live tasks holding it are judged by the clauses above/below.
-	if r.cfg.Mode == FullSystem && r.masterHasNext() &&
+	// run-ahead window and the descriptor window have room, or it is
+	// still paying for the previous creation; a window pinned full by a
+	// dead accelerator is not. With the descriptor window shut the live
+	// tasks holding it are judged by the clauses above/below.
+	if r.cfg.Mode == FullSystem && r.srcHasNext() &&
 		((r.masterWindowOpen() && r.windowOpen()) || r.masterFree > now) {
 		return false
 	}
@@ -677,6 +614,9 @@ func (r *runner) wedgedResult(now uint64) *Result {
 func (r *runner) runFast() (*Result, error) {
 	for r.tasksOutstanding() || !r.p.Idle() || r.pendingWork() {
 		now := r.p.Now()
+		if f := r.cfg.Picos.Faults; f != nil {
+			r.retireDegraded(f)
+		}
 		if r.flt != nil {
 			r.applyStops(now)
 		}
@@ -819,14 +759,14 @@ func (r *runner) nextWake(now uint64, interested bool) (uint64, bool) {
 	if d, ok := r.deliveries.Peek(); ok {
 		consider(d.at)
 	}
-	if r.cfg.Mode == FullSystem && r.masterHasNext() && r.masterWindowOpen() && r.windowOpen() {
+	if r.cfg.Mode == FullSystem && r.srcHasNext() && r.masterWindowOpen() && r.windowOpen() {
 		// A window-blocked master resumes only when a submission is
-		// accepted (run-ahead) or a descriptor retires (streaming), and
-		// every such cycle — a delivery, a parked retry, a worker finish
-		// — is already covered by the candidates here.
+		// accepted (run-ahead) or a descriptor retires, and every such
+		// cycle — a delivery, a parked retry, a worker finish, a degrade
+		// refusal — is already covered by the candidates here.
 		consider(r.masterFree)
 	}
-	if r.src != nil && r.cfg.Mode == HWComm && r.windowOpen() && r.srcHasNext() {
+	if r.cfg.Mode == HWComm && r.windowOpen() && r.srcHasNext() {
 		// A refusal this cycle reopened the window after stepFeed ran:
 		// the feed acts on the next evaluated cycle.
 		consider(now + 1)
@@ -853,11 +793,13 @@ func (r *runner) nextWake(now uint64, interested bool) (uint64, bool) {
 			consider(e.at)
 		}
 	}
-	if r.backpressured() {
+	if f := r.cfg.Picos.Faults; r.backpressured() ||
+		(f != nil && f.Degrade > 0 && !r.windowOpen() && r.srcHasNext()) {
 		// Parked or unfed tasks wait for new-task queue space, which
-		// opens at a GW admission — an accelerator-internal event — so
-		// every accelerator event becomes a (conservative) wake
-		// candidate while the backpressure lasts.
+		// opens at a GW admission, and a full window may reopen at a
+		// degrade refusal — both accelerator-internal events — so every
+		// accelerator event becomes a (conservative) wake candidate while
+		// the feed waits on one.
 		if ne, ok2 := r.p.NextEvent(); ok2 {
 			consider(ne)
 		}
@@ -886,15 +828,11 @@ func (r *runner) stepWorkers(now uint64) {
 		} else {
 			r.pendingFin.Push(r.workers[idx].Handle)
 		}
-		if r.src != nil {
-			// The completion retires the descriptor (the accelerator's
-			// cleanup needs only the handle already captured above) and
-			// feeds the aggregate makespan.
-			if until > r.aggMakespan {
-				r.aggMakespan = until
-			}
-			r.retire(r.workers[idx].ID)
-		}
+		// The completion retires the descriptor (the accelerator's cleanup
+		// needs only the handle already captured above) and feeds the
+		// running makespan.
+		r.aggMakespan = max(r.aggMakespan, until)
+		r.retire(r.workers[idx].ID)
 	}
 }
 
@@ -990,32 +928,18 @@ func (r *runner) landMsg(msg busMsg) {
 //
 //picos:hotpath
 func (r *runner) stepMaster(now uint64) {
-	if r.cfg.Mode != FullSystem {
+	if r.cfg.Mode != FullSystem || r.masterFree > now {
 		return
 	}
-	if !r.masterHasNext() || r.masterFree > now {
+	// An exhausted run-ahead window parks the master with the next
+	// descriptor ready until a submission is accepted downstream; an
+	// exhausted descriptor window until a live task retires.
+	if !r.masterWindowOpen() || !r.windowOpen() {
 		return
 	}
-	if !r.masterWindowOpen() {
-		// Run-ahead window exhausted: the master parks with the next
-		// descriptor ready and resumes the moment a submission is
-		// accepted downstream.
+	task, ok := r.srcPeek()
+	if !ok {
 		return
-	}
-	var task *trace.Task
-	if r.src == nil {
-		task = &r.tr.Tasks[r.masterNext]
-	} else {
-		if !r.windowOpen() {
-			// Streaming descriptor window exhausted: creation resumes
-			// when a live task retires.
-			return
-		}
-		t, ok := r.srcPeek()
-		if !ok {
-			return
-		}
-		task = t
 	}
 	cost := task.CreateCost
 	if cost == 0 {
@@ -1025,12 +949,7 @@ func (r *runner) stepMaster(now uint64) {
 	// The master also performs the AXI stream write for its submission.
 	cost += r.cfg.Comm.SendNewOcc
 	r.masterFree = now + cost
-	idx := uint32(r.masterNext)
-	if r.src != nil {
-		idx = r.srcCommit()
-	}
-	r.pendingNew.Push(stampedTask{at: r.masterFree, idx: idx})
-	r.masterNext++
+	r.pendingNew.Push(stampedTask{at: r.masterFree, idx: r.srcCommit(task)})
 	r.createdAhead++
 }
 
@@ -1170,20 +1089,17 @@ func (r *runner) startWorkerAt(i int, rt picos.ReadyTask, now uint64) {
 	}
 	r.workers[i] = rt
 	r.busyH.Push(sched.Due{Until: now + dur, Idx: i})
-	if r.src == nil {
+	if r.start != nil {
 		r.start[rt.ID] = now
 		r.finish[rt.ID] = now + dur
 		r.order = append(r.order, rt.ID)
-	} else {
-		// Aggregate probes in place of the per-task schedule arrays.
-		if !r.aggFirstSet || now < r.aggFirst {
-			r.aggFirst, r.aggFirstSet = now, true
-		}
-		if now > r.aggLastStart {
-			r.aggLastStart = now
-		}
-		r.aggStarted++
 	}
+	// The clock never rewinds: the first start is the earliest.
+	if !r.aggFirstSet {
+		r.aggFirst, r.aggFirstSet = now, true
+	}
+	r.aggLastStart = now
+	r.aggStarted++
 	r.lastProgress = now
 }
 
@@ -1256,7 +1172,7 @@ func (r *runner) quiescentUntil(now uint64) (uint64, bool) {
 	if r.backpressured() && r.p.NewQRoom() {
 		return 0, false
 	}
-	if r.src != nil && r.cfg.Mode == HWComm && r.windowOpen() && r.srcHasNext() {
+	if r.cfg.Mode == HWComm && r.windowOpen() && r.srcHasNext() {
 		// stepFeed will hand the link more work on the next cycle (a
 		// refusal can reopen the window after the feed already ran).
 		return 0, false
@@ -1274,7 +1190,7 @@ func (r *runner) quiescentUntil(now uint64) (uint64, bool) {
 	if d, ok := r.deliveries.Peek(); ok {
 		consider(d.at)
 	}
-	if r.cfg.Mode == FullSystem && r.masterHasNext() && r.masterWindowOpen() && r.windowOpen() {
+	if r.cfg.Mode == FullSystem && r.srcHasNext() && r.masterWindowOpen() && r.windowOpen() {
 		consider(r.masterFree)
 	}
 	if st, ok := r.pendingNew.Peek(); ok {
@@ -1299,50 +1215,53 @@ func (r *runner) quiescentUntil(now uint64) (uint64, bool) {
 	return next, true
 }
 
+// result assembles the run's Result. A run that recorded its schedule
+// takes the probes from the arrays, which also hold the planned finish
+// of tasks still running at a timeout and drop the starts a failstop
+// aborted; a streamed run takes them from the running counters and its
+// Baseline from the duration sum plus the source's serial-work fields —
+// the same values, without the O(tasks) state.
 func (r *runner) result() *Result {
-	if r.src != nil {
-		return r.streamResult()
-	}
 	res := &Result{
-		Mode:     r.cfg.Mode,
-		Workers:  r.cfg.Workers,
-		Baseline: r.tr.Baseline(),
-		Start:    r.start,
-		Finish:   r.finish,
-		Order:    r.order,
-		Stats:    *r.p.Stats(),
-		Busy:     r.p.Busy(),
+		Mode:    r.cfg.Mode,
+		Workers: r.cfg.Workers,
+		Start:   r.start,
+		Finish:  r.finish,
+		Order:   r.order,
+		Stats:   *r.p.Stats(),
+		Busy:    r.p.Busy(),
+		// Fault and refusal accounting; all stay zero on a fault-free run
+		// under the default admission policy.
+		LostTasks:      r.lost,
+		RecoveredTasks: r.recovered,
+		RefusedTasks:   r.refused,
+		RefusedIDs:     r.refusedIDs,
 	}
-	var first, lastStart uint64
-	firstSet := false
-	for _, id := range r.order {
-		s := r.start[id]
-		if !firstSet || s < first {
-			first, firstSet = s, true
+	if r.start != nil {
+		res.Baseline = r.mat.Baseline()
+		for _, f := range r.finish {
+			res.Makespan = max(res.Makespan, f)
 		}
-		if s > lastStart {
-			lastStart = s
+		// Order is start order and the clock never rewinds, so its ends
+		// are the first and the last start.
+		if n := len(r.order); n > 0 {
+			res.FirstStart = r.start[r.order[0]]
+			if n > 1 {
+				res.ThrTask = float64(r.start[r.order[n-1]]-res.FirstStart) / float64(n-1)
+			}
 		}
-	}
-	for _, f := range r.finish {
-		if f > res.Makespan {
-			res.Makespan = f
+	} else {
+		res.Makespan, res.FirstStart = r.aggMakespan, r.aggFirst
+		if res.Baseline = r.src.RefSeqCycles(); res.Baseline == 0 {
+			res.Baseline = r.src.SerialCycles() + r.aggDur
 		}
-	}
-	res.FirstStart = first
-	if len(r.order) > 1 {
-		res.ThrTask = float64(lastStart-first) / float64(len(r.order)-1)
+		if r.aggStarted > 1 {
+			res.ThrTask = float64(r.aggLastStart-r.aggFirst) / float64(r.aggStarted-1)
+		}
 	}
 	if res.Makespan > 0 {
 		res.Speedup = float64(res.Baseline) / float64(res.Makespan)
 	}
-	// Fault and refusal accounting; all stay zero on a fault-free run
-	// under the default admission policy, so the Result is byte-identical
-	// to the pre-fault-layer one.
-	res.LostTasks = r.lost
-	res.RecoveredTasks = r.recovered
-	res.RefusedTasks = r.refused
-	res.RefusedIDs = r.refusedIDs
 	if r.flt != nil && r.flt.Fired {
 		res.Faulted = true
 	}
@@ -1350,7 +1269,7 @@ func (r *runner) result() *Result {
 		if f.Fired {
 			res.Faulted = true
 		}
-		res.RefusedTasks += int(f.Refused)
+		res.RefusedTasks += len(f.RefusedIDs)
 	}
 	return res
 }

@@ -61,12 +61,12 @@ func (r *runner) killWorker(w int, now uint64) {
 }
 
 // unschedule erases the schedule entries of a task aborted mid-flight.
-// A streaming run has no schedule arrays; the aborted start is undone
-// in the aggregate start count instead (first/last-start stamps stay —
-// they are not recomputable in O(window), and both loops agree on them).
+// The running start count forgets it too (first/last-start stamps stay —
+// they are not recomputable in O(window), and both loops agree on them);
+// a streaming run has no schedule arrays to erase.
 func (r *runner) unschedule(id uint32) {
-	if r.src != nil {
-		r.aggStarted--
+	r.aggStarted--
+	if r.start == nil {
 		return
 	}
 	r.start[id], r.finish[id] = 0, 0

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/faults"
+	"repro/internal/apps"
 	"repro/internal/patterns"
 	"repro/internal/sched"
 	"repro/internal/synth"
@@ -117,31 +117,71 @@ func TestStreamNarrowWindowBackpressures(t *testing.T) {
 	}
 }
 
-// TestStreamRestrictions pins the typed rejections of the streaming
-// driver: a positive window is required, bottom-level priorities need
-// the whole graph, and degrade recovery pops picos-internal refusals the
-// window accounting cannot see.
+// TestStreamRestrictions pins the streaming driver's one refusal and
+// the window's zero value: Window 0 streams unbounded — a generated
+// stream then matches the materialized run — while bottom-level
+// priorities need the whole graph and are refused by the scheduling
+// layer, with its typed sentinel.
 func TestStreamRestrictions(t *testing.T) {
-	tr, err := synth.Case(1)
+	const query = "stencil_1d?width=16&steps=12"
+	p, err := patterns.Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := trace.FromTrace(tr)
-
-	cfg := DefaultConfig()
-	if _, err := RunStream(src, cfg); !errors.Is(err, ErrStreamWindow) {
-		t.Fatalf("window 0: got %v, want ErrStreamWindow", err)
+	tr, err := patterns.Build(p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	cfg := DefaultConfig()
+	want := mustRun(t, tr, cfg)
+	got, err := RunStream(gridSource(t, query), cfg)
+	if err != nil {
+		t.Fatalf("window 0: %v", err)
+	}
+	if !aggEqual(got, want) {
+		t.Fatalf("window 0: stream %+v, want %+v", got, want)
+	}
+
 	cfg.Window = 8
 	cfg.Sched = sched.Priority
-	if _, err := RunStream(src, cfg); !errors.Is(err, ErrStreamPriority) {
-		t.Fatalf("priority: got %v, want ErrStreamPriority", err)
+	if _, err := RunStream(trace.FromTrace(tr), cfg); !errors.Is(err, sched.ErrNoBottomLevels) {
+		t.Fatalf("priority: got %v, want sched.ErrNoBottomLevels", err)
 	}
-	cfg = DefaultConfig()
-	cfg.Window = 8
-	cfg.Recovery = faults.Recovery{Degrade: 1000}
-	if _, err := RunStream(src, cfg); !errors.Is(err, ErrStreamDegrade) {
-		t.Fatalf("degrade: got %v, want ErrStreamDegrade", err)
+}
+
+// TestStreamDegrade: degrade recovery refuses blocked heads inside the
+// accelerator, which records each refused ID so the runner retires the
+// descriptor. Leaked credits starve admission, so refusals happen
+// throughout the run; a window wider than the trace must then reproduce
+// the unbounded run's aggregates and refusal count, and a narrow one
+// must still drain.
+func TestStreamDegrade(t *testing.T) {
+	res, err := apps.Generate(apps.Cholesky, 2048, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Trace
+	cfg := DefaultConfig()
+	cfg.Workers = 8
+	cfg.Watchdog = 2_000_000_000
+	cfg.Faults = parsePlan(t, "dct:creditleak=1.0@seed5")
+	cfg.Recovery = parseRecovery(t, "degrade=20000")
+	want := mustRun(t, tr, cfg)
+	if want.RefusedTasks == 0 {
+		t.Fatal("the credit leak should make degrade refuse tasks")
+	}
+	for _, win := range []int{len(tr.Tasks) + 1, 16} {
+		cfg.Window = win
+		got, err := RunStream(trace.FromTrace(tr), cfg)
+		if err != nil {
+			t.Fatalf("window %d: %v", win, err)
+		}
+		if got.Wedged || got.TimedOut || got.RefusedTasks == 0 {
+			t.Fatalf("window %d: wedged=%v timedOut=%v refused=%d", win, got.Wedged, got.TimedOut, got.RefusedTasks)
+		}
+		if win > len(tr.Tasks) && (!aggEqual(got, want) || got.RefusedTasks != want.RefusedTasks) {
+			t.Fatalf("window %d: stream %+v, want %+v", win, got, want)
+		}
 	}
 }
 
@@ -167,6 +207,74 @@ func TestStreamWrappedTraceEquivalence(t *testing.T) {
 			if !aggEqual(got, want) {
 				t.Fatalf("case%d %s: stream %+v, want %+v", n, mode, got, want)
 			}
+		}
+	}
+}
+
+// stragglerSource streams one long task followed by short independent
+// ones. It is not a *trace.TraceSource, so the platform keeps its live
+// descriptors in the live map, whose size it samples at every pull.
+type stragglerSource struct {
+	n, next int
+	pl      *Platform
+	maxLive int
+}
+
+func (s *stragglerSource) Name() string         { return "straggler" }
+func (s *stragglerSource) Kinds() []string      { return nil }
+func (s *stragglerSource) SerialCycles() uint64 { return 0 }
+func (s *stragglerSource) RefSeqCycles() uint64 { return 0 }
+func (s *stragglerSource) Rewind() error        { s.next, s.maxLive = 0, 0; return nil }
+
+func (s *stragglerSource) Next() (trace.Task, bool) {
+	if s.next == s.n {
+		return trace.Task{}, false
+	}
+	s.maxLive = max(s.maxLive, len(s.pl.r.live))
+	t := trace.Task{ID: uint32(s.next), Duration: 100,
+		Deps: []trace.Dep{{Addr: uint64(s.next+1) << 12, Dir: trace.Out}}}
+	if s.next == 0 {
+		t.Duration = 10_000_000
+	}
+	s.next++
+	return t, true
+}
+
+// TestStreamStragglerWindow: a straggler pins one window slot for 10^7
+// cycles while 2,000 short tasks stream through the rest. The live
+// table is keyed by task, not by stream position, so it never holds
+// more than Window descriptors however far the stream runs ahead of its
+// oldest live task; the run completes, and the fast loop matches the
+// reference on the aggregates.
+func TestStreamStragglerWindow(t *testing.T) {
+	const n = 2001
+	for _, mode := range streamModes {
+		var res [2]*Result
+		for i, fast := range []bool{true, false} {
+			cfg := DefaultConfig()
+			cfg.Mode = mode
+			cfg.Window = 8
+			cfg.FastForward = fast
+			pl := NewPlatform()
+			src := &stragglerSource{n: n, pl: pl}
+			r, err := pl.RunStream(src, cfg)
+			if err != nil {
+				t.Fatalf("%s fast=%v: %v", mode, fast, err)
+			}
+			if r.Wedged || r.TimedOut || r.Stats.TasksCompleted != n || r.Makespan < 10_000_000 {
+				t.Fatalf("%s fast=%v: wedged=%v timedOut=%v completed=%d makespan=%d",
+					mode, fast, r.Wedged, r.TimedOut, r.Stats.TasksCompleted, r.Makespan)
+			}
+			// The pulled task is the only one committed before the next
+			// pull, so the table peaks one above its largest sample.
+			if src.maxLive+1 > cfg.Window {
+				t.Fatalf("%s fast=%v: live table held %d descriptors, window is %d",
+					mode, fast, src.maxLive+1, cfg.Window)
+			}
+			res[i] = r
+		}
+		if !aggEqual(res[0], res[1]) {
+			t.Fatalf("%s: fast %+v, ref %+v", mode, res[0], res[1])
 		}
 	}
 }

@@ -14,7 +14,6 @@
 package nanos
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -114,11 +113,6 @@ type Result struct {
 	ThrTask    float64
 }
 
-// ErrStreamPriority rejects bottom-level priority scheduling under
-// streaming: bottom levels are a whole-graph backward pass, which a
-// stream cannot compute.
-var ErrStreamPriority = errors.New("nanos: priority scheduling needs the whole graph; not available when streaming")
-
 // normalize checks the worker setup, fills the defaults and returns the
 // worker classes (one baseline class when none is declared).
 func (cfg *Config) normalize() (sched.Classes, error) {
@@ -175,11 +169,10 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 
 // RunSource simulates the software-only runtime on a streaming source
 // under cfg.Window. It records no Start/Finish schedule; the Result
-// carries the aggregate FirstStart/ThrTask probes.
+// carries the aggregate FirstStart/ThrTask probes. The priority policy
+// needs whole-graph bottom levels and is refused with
+// sched.ErrNoBottomLevels.
 func RunSource(src trace.Source, cfg Config) (*Result, error) {
-	if cfg.Sched == sched.Priority {
-		return nil, ErrStreamPriority
-	}
 	classes, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -187,14 +180,9 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 	if err := src.Rewind(); err != nil {
 		return nil, fmt.Errorf("nanos: %w", err)
 	}
-	// A stream's kind usage is unknown up front: require the class list
-	// to cover every declared kind, plus unkinded tasks, conservatively.
-	kinds := src.Kinds()
-	present := make([]bool, len(kinds)+1)
-	for i := range present {
-		present[i] = true
-	}
-	if err := classes.CheckCoverage(kinds, present); err != nil {
+	// A stream's kind usage is unknown up front: the class list must
+	// cover every declared kind.
+	if err := classes.CheckCoverage(src.Kinds(), nil); err != nil {
 		return nil, err
 	}
 	return simulate(src, cfg, classes, nil, &Result{}, false)
@@ -322,7 +310,9 @@ func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64
 	res.Baseline = src.RefSeqCycles()
 
 	pool := &l.pool
-	pool.Reset(classes, cfg.Sched, cfg.Steal, kinds, prio)
+	if err := pool.Reset(classes, cfg.Sched, cfg.Steal, kinds, prio); err != nil {
+		return nil, fmt.Errorf("nanos: %w", err)
+	}
 	live := l.live
 
 	var (

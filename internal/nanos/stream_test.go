@@ -89,14 +89,17 @@ func TestStreamBoundedWindow(t *testing.T) {
 }
 
 // TestStreamRestrictions pins the typed rejection: bottom-level
-// priority scheduling needs the whole graph.
+// priority scheduling needs the whole graph, which the scheduling layer
+// refuses for a stream under any window.
 func TestStreamRestrictions(t *testing.T) {
 	tr, err := synth.Case(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSource(trace.FromTrace(tr), Config{Workers: 2, Window: 8, Sched: sched.Priority}); !errors.Is(err, ErrStreamPriority) {
-		t.Fatalf("priority: got %v, want ErrStreamPriority", err)
+	for _, win := range []int{0, 8} {
+		if _, err := RunSource(trace.FromTrace(tr), Config{Workers: 2, Window: win, Sched: sched.Priority}); !errors.Is(err, sched.ErrNoBottomLevels) {
+			t.Fatalf("priority, window %d: got %v, want sched.ErrNoBottomLevels", win, err)
+		}
 	}
 }
 

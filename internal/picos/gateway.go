@@ -111,7 +111,7 @@ func (g *gateway) step(now uint64) {
 			// let the surviving shards keep serving instead of wedging.
 			g.newQ.pop(now)
 			g.blocked = false
-			f.Refused++
+			f.RefusedIDs = append(f.RefusedIDs, t.id)
 			f.Fired = true
 			p.markDirty(g.hid)
 			continue

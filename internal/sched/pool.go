@@ -50,9 +50,12 @@ type Item[P any] struct {
 // Reset configures the pool for a run. classes must be non-empty
 // (normalize with Single(n) for the homogeneous case); kinds is the
 // trace's kind table; prio is the per-task priority (required for the
-// Priority policy, ignored otherwise). All internal storage is reused
-// across warm Resets.
-func (p *Pool[P]) Reset(classes Classes, policy Policy, steal bool, kinds []string, prio []uint64) {
+// Priority policy, ignored otherwise — a nil prio under Priority returns
+// ErrNoBottomLevels). All internal storage is reused across warm Resets.
+func (p *Pool[P]) Reset(classes Classes, policy Policy, steal bool, kinds []string, prio []uint64) error {
+	if policy == Priority && prio == nil {
+		return ErrNoBottomLevels
+	}
 	p.classes = classes
 	p.policy = policy
 	p.steal = steal
@@ -103,6 +106,7 @@ func (p *Pool[P]) Reset(classes Classes, policy Policy, steal bool, kinds []stri
 	for i := range p.lastCls {
 		p.lastCls[i] = -1
 	}
+	return nil
 }
 
 // Workers returns the total worker count.

@@ -60,6 +60,11 @@ type Classes []Class
 // no declared worker class may run.
 var ErrNoEligibleClass = errors.New("sched: task kind has no eligible worker class")
 
+// ErrNoBottomLevels is returned by Pool.Reset when the Priority policy
+// arrives without per-task bottom levels: they are a backward pass over
+// the whole graph, which a streamed workload never has.
+var ErrNoBottomLevels = errors.New("sched: priority scheduling ranks tasks by whole-graph bottom levels, which a stream does not have")
+
 // Parse parses the worker-class grammar:
 //
 //	spec     := class ("+" class)*
@@ -235,13 +240,15 @@ func (cs Classes) BestMult(el [][]bool, k uint16) (float64, bool) {
 
 // CheckCoverage verifies that every kind id marked in present (indexed
 // 0..len(kinds), with 0 the unkinded sentinel) has at least one
-// eligible class, returning ErrNoEligibleClass otherwise. Engines call
-// this at Reset so affinity misconfigurations are typed construction
-// errors instead of silent deadlocks.
+// eligible class, returning ErrNoEligibleClass otherwise. A nil present
+// means any declared kind may appear (a stream, whose kind usage is
+// unknown up front). Engines call this at Reset so affinity
+// misconfigurations are typed construction errors instead of silent
+// deadlocks.
 func (cs Classes) CheckCoverage(kinds []string, present []bool) error {
 	el := cs.Eligibility(kinds)
-	for k, p := range present {
-		if !p {
+	for k := 0; k <= len(kinds); k++ {
+		if present != nil && !present[k] {
 			continue
 		}
 		if _, ok := cs.BestMult(el, uint16(k)); !ok {

@@ -191,7 +191,9 @@ func pool(t *testing.T, spec string, policy Policy, steal bool, kinds []string, 
 		t.Fatal(err)
 	}
 	p := &Pool[int]{}
-	p.Reset(cs, policy, steal, kinds, prio)
+	if err := p.Reset(cs, policy, steal, kinds, prio); err != nil {
+		t.Fatal(err)
+	}
 	return p
 }
 
@@ -240,6 +242,43 @@ func TestPoolLIFOAndPriority(t *testing.T) {
 	q.Park(0)
 	if _, it, ok := q.Grant(); !ok || it.ID != 2 {
 		t.Fatalf("Priority granted %d next, want 2", it.ID)
+	}
+}
+
+// TestPoolResetNeedsBottomLevels: the Priority policy without per-task
+// bottom levels is a typed refusal at Reset, not an index panic at the
+// first grant; every other policy ignores prio.
+func TestPoolResetNeedsBottomLevels(t *testing.T) {
+	var p Pool[int]
+	if err := p.Reset(Single(2), Priority, false, nil, nil); !errors.Is(err, ErrNoBottomLevels) {
+		t.Fatalf("priority without bottom levels: got %v, want ErrNoBottomLevels", err)
+	}
+	if err := p.Reset(Single(2), Priority, false, nil, []uint64{}); err != nil {
+		t.Fatalf("priority over an empty graph: %v", err)
+	}
+	for _, pol := range []Policy{FIFO, LIFO, Locality} {
+		if err := p.Reset(Single(2), pol, true, nil, nil); err != nil {
+			t.Fatalf("%v without bottom levels: %v", pol, err)
+		}
+	}
+}
+
+// TestCheckCoverageAnyKind: a nil present set means any declared kind
+// may appear, unkinded tasks included, so every kind needs a class.
+func TestCheckCoverageAnyKind(t *testing.T) {
+	kinds := []string{"gs", "fft"}
+	only, err := Parse("2xa@gs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := only.CheckCoverage(kinds, nil); !errors.Is(err, ErrNoEligibleClass) {
+		t.Fatalf("gs-only classes under any kind: got %v, want ErrNoEligibleClass", err)
+	}
+	if err := only.CheckCoverage(kinds, []bool{false, true, false}); err != nil {
+		t.Fatalf("gs-only classes with only gs present: %v", err)
+	}
+	if err := Single(2).CheckCoverage(kinds, nil); err != nil {
+		t.Fatalf("an unrestricted class covers any kind: %v", err)
 	}
 }
 

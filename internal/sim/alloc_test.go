@@ -19,10 +19,16 @@ import (
 //
 //   - picos-hw: the steady-state cost is only what escapes into the
 //     Result — the start/finish/order schedule arrays, the Result and
-//     stats values, and the per-unit busy snapshot — roughly ten
+//     stats values, and the per-unit busy snapshot — which measured 8
 //     allocations; everything else (accelerator memories, FIFOs, worker
-//     heaps, the horizon heap) is pool-reused. Headroom covers pool
-//     misses when a GC lands mid-measurement.
+//     heaps, the horizon heap, the platform's trace adapter) is
+//     pool-reused. Headroom covers pool misses when a GC lands
+//     mid-measurement.
+//   - picos-hw and picos-full on cholesky/32 (45,760 tasks) under a
+//     64-descriptor window: RunTrace wraps the trace as a Source, and the
+//     platform indexes a materialized source in place instead of copying
+//     each live descriptor to the heap, so a warm run measured 6
+//     allocations.
 //   - nanos on cholesky/32 (45,760 tasks, 12 workers) and h264dec/2
 //     (34,800 tasks): the pooled event loop and its pointer-free
 //     taskgraph.Incremental reuse every buffer, so a warm run measured 9
@@ -40,6 +46,8 @@ func TestWarmRunTraceAllocs(t *testing.T) {
 		bound float64
 	}{
 		{sim.Spec{Engine: "picos-hw", Workload: "case2"}, 24},
+		{sim.Spec{Engine: "picos-hw", Workload: "cholesky", Block: 32, Window: 64}, 100},
+		{sim.Spec{Engine: "picos-full", Workload: "cholesky", Block: 32, Window: 64}, 100},
 		{sim.Spec{Engine: "nanos", Workload: "cholesky", Block: 32, Workers: 12}, 100},
 		{sim.Spec{Engine: "nanos", Workload: "h264dec", Block: 2}, 100},
 		{sim.Spec{Engine: "perfect", Workload: "cholesky", Block: 32}, 200},

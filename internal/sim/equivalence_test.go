@@ -1,8 +1,14 @@
 package sim_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -61,6 +67,80 @@ func resultJSON(t *testing.T, res *sim.Result) string {
 	return string(b)
 }
 
+// goldenPath holds the SHA-256 of every fast-path Result the
+// equivalence suites produce, keyed by subtest name. The fast and
+// reference loops are compared with each other run by run; the digests
+// additionally pin both to the Results the engines produced when the
+// file was recorded — schedule arrays, WedgedAt, timed-out Makespan and
+// RefusedIDs included — so a refactor that moves both loops in step
+// still fails. Rewrite it with `go test ./internal/sim -run
+// 'TestFastPath' -update-golden` only for an intended Result change.
+const goldenPath = "testdata/fastpath_golden.json"
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenPath+" from the current fast-path Results")
+
+var golden struct {
+	once sync.Once
+	mu   sync.Mutex
+	sums map[string]string
+	err  error
+}
+
+// checkGolden compares the digest of a fast-path Result's JSON against
+// the recorded one for t's subtest name (or records it under
+// -update-golden).
+func checkGolden(t *testing.T, resJSON string) {
+	t.Helper()
+	golden.once.Do(func() {
+		golden.sums = map[string]string{}
+		b, err := os.ReadFile(goldenPath)
+		if err == nil {
+			err = json.Unmarshal(b, &golden.sums)
+		}
+		if err != nil && !*updateGolden {
+			golden.err = err
+		}
+	})
+	if golden.err != nil {
+		t.Fatalf("golden digests: %v", golden.err)
+	}
+	sum := sha256.Sum256([]byte(resJSON))
+	got := hex.EncodeToString(sum[:])
+	golden.mu.Lock()
+	defer golden.mu.Unlock()
+	if *updateGolden {
+		golden.sums[t.Name()] = got
+		return
+	}
+	if want, ok := golden.sums[t.Name()]; !ok {
+		t.Errorf("no golden digest for %s; record it with -update-golden", t.Name())
+	} else if got != want {
+		t.Errorf("fast-path Result drifted from the recorded one: sha256 %s, want %s\n%s", got, want, resJSON)
+	}
+}
+
+// writeGolden rewrites the digest file once every subtest of the
+// calling suite has recorded its entry; a no-op without -update-golden.
+func writeGolden(t *testing.T) {
+	if !*updateGolden {
+		return
+	}
+	t.Cleanup(func() {
+		golden.mu.Lock()
+		defer golden.mu.Unlock()
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b) // sorts the keys
+		enc.SetEscapeHTML(false)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(golden.sums); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestFastPathEquivalence runs the {picos-hw, picos-comm, picos-full} x
 // {6 benchmarks, 7 synthetic cases} matrix twice — event-driven fast
 // path on vs the cycle-stepped reference loop — and asserts the two
@@ -69,6 +149,7 @@ func resultJSON(t *testing.T, res *sim.Result) string {
 // included, which the fast path batch-accounts instead of accruing
 // per cycle).
 func TestFastPathEquivalence(t *testing.T) {
+	writeGolden(t)
 	for _, engine := range equivalenceEngines {
 		for _, base := range equivalenceWorkloads() {
 			spec := base
@@ -92,6 +173,7 @@ func TestFastPathEquivalence(t *testing.T) {
 				if fj != rj {
 					t.Errorf("fast path diverges from cycle-stepped reference\nfast: %s\nref:  %s", fj, rj)
 				}
+				checkGolden(t, fj)
 				if fres.Stats == nil || rres.Stats == nil {
 					t.Fatal("picos engines must report stats")
 				}
@@ -192,6 +274,23 @@ func TestFastPathEquivalenceKnobs(t *testing.T) {
 			s.NewQDepth = 4
 			s.RunAhead = 2
 		}},
+		// Degrade recovery under a window: leaked credits starve
+		// admission, the gateway refuses blocked heads inside the
+		// accelerator, and a full window reopens at the refusal — an
+		// accelerator event the fast loop must wake for. Few workers keep
+		// the window full while they run, which is when a late wake shows.
+		{"window16-degrade", []string{"cholesky"}, func(s *sim.Spec) {
+			s.Workers = 8
+			s.Window = 16
+			s.Faults = "dct:creditleak=1.0@seed5"
+			s.Recovery = "degrade=20000"
+		}},
+		{"window4-degrade-2workers", []string{"cholesky"}, func(s *sim.Spec) {
+			s.Workers = 2
+			s.Window = 4
+			s.Faults = "dct:creditleak=1.0@seed5"
+			s.Recovery = "degrade=20000"
+		}},
 		// Fault plans: every injection — probabilistic link faults drawn
 		// at send events, cycle-triggered kills and stalls — must fire at
 		// identical cycles on both loops, and recovery (retransmission,
@@ -215,6 +314,7 @@ func TestFastPathEquivalenceKnobs(t *testing.T) {
 			s.Recovery = "regrant"
 		}},
 	}
+	writeGolden(t)
 	for _, engine := range equivalenceEngines {
 		for _, k := range knobs {
 			for _, workload := range k.workloads {
@@ -240,12 +340,38 @@ func TestFastPathEquivalenceKnobs(t *testing.T) {
 					if err != nil {
 						t.Fatalf("cycle-stepped reference: %v", err)
 					}
-					if fj, rj := resultJSON(t, fres), resultJSON(t, rres); fj != rj {
+					fj, rj := resultJSON(t, fres), resultJSON(t, rres)
+					if fj != rj {
 						t.Errorf("fast path diverges from cycle-stepped reference\nfast: %s\nref:  %s", fj, rj)
 					}
+					checkGolden(t, fj)
 				})
 			}
 		}
+	}
+}
+
+// TestFastPathTimedOutGolden pins a watchdog expiry on each picos engine,
+// fast path only: a million-cycle stencil under a 100,000-cycle watchdog
+// times out with every worker still busy, so its Makespan is the
+// running tasks' planned finish, not a completion the run observed.
+func TestFastPathTimedOutGolden(t *testing.T) {
+	writeGolden(t)
+	for _, engine := range equivalenceEngines {
+		t.Run(engine, func(t *testing.T) {
+			res, err := sim.Run(sim.Spec{
+				Engine:   engine,
+				Workload: "pattern:stencil_1d?width=16&steps=4&len=1000000",
+				Watchdog: 100_000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.TimedOut || res.Makespan == 0 {
+				t.Fatalf("want a timed-out run with a planned makespan, got timedOut=%v makespan=%d", res.TimedOut, res.Makespan)
+			}
+			checkGolden(t, resultJSON(t, res))
+		})
 	}
 }
 

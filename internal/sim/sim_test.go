@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 
@@ -218,5 +219,22 @@ func TestProbes(t *testing.T) {
 	}
 	if f, th := sim.Probes([]uint64{7}); f != 7 || th != 0 {
 		t.Fatalf("Probes(single) = %d/%.1f", f, th)
+	}
+}
+
+// TestStreamPriorityRefused: bottom-level priorities are a backward pass
+// over the whole graph, so every streaming engine refuses the priority
+// policy under a window with the scheduling layer's one sentinel, while
+// the materialized run of the same spec schedules by it.
+func TestStreamPriorityRefused(t *testing.T) {
+	for _, engine := range []string{"picos-hw", "picos-comm", "picos-full", "nanos"} {
+		spec := sim.Spec{Engine: engine, Workload: "case4", Sched: "priority", Window: 16}
+		if _, err := sim.Run(spec); !errors.Is(err, sched.ErrNoBottomLevels) {
+			t.Errorf("%s windowed: got %v, want sched.ErrNoBottomLevels", engine, err)
+		}
+		spec.Window = 0
+		if _, err := sim.Run(spec); err != nil {
+			t.Errorf("%s materialized: %v", engine, err)
+		}
 	}
 }

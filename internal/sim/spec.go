@@ -82,8 +82,8 @@ type Spec struct {
 	// created-but-unretired task descriptors the engine keeps live at
 	// once (the paper's prototype consumes a bounded descriptor stream,
 	// never a whole graph). 0 means unbounded — the workload is
-	// materialized and runs the legacy whole-trace path, byte-identical
-	// to a run before the streaming layer existed. A positive window
+	// materialized and runs through the engine's Run, which records the
+	// per-task schedule. A positive window
 	// streams the workload through trace.Source in O(window) heap;
 	// results can legitimately differ from the unbounded run because the
 	// window is modeled backpressure on creation, composing with

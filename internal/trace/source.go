@@ -73,12 +73,6 @@ func (s *TraceSource) SerialCycles() uint64 { return s.tr.SerialCycles }
 // RefSeqCycles returns the underlying trace's measured sequential time.
 func (s *TraceSource) RefSeqCycles() uint64 { return s.tr.RefSeqCycles }
 
-// Trace returns the wrapped trace. Streaming drivers use it to route a
-// wrapped materialized workload back onto the legacy whole-trace engine
-// path when the window is unbounded, where the two are equivalent by
-// construction.
-func (s *TraceSource) Trace() *Trace { return s.tr }
-
 // Materialize drains a Source into a validated Trace, rewinding it
 // first. It is the escape hatch for inherently multi-pass whole-graph
 // consumers (the perfect roofline weights complete critical paths) and
