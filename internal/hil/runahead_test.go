@@ -12,11 +12,21 @@ import (
 // chains keep the accelerator busy while submissions back up behind a
 // tiny submission buffer.
 func runAheadTrace(t *testing.T) *trace.Trace {
-	tr, err := patterns.Build(patterns.Params{
+	return patternTrace(t, patterns.Params{
 		Family: "stencil_1d", Width: 8, Steps: 6,
 		Len: 50, K: patterns.DefaultK, Seed: 1,
 		Layout: "malloc", Fields: 2, Height: 1, Regions: 1,
 	})
+}
+
+// patternTrace materializes a generated pattern grid.
+func patternTrace(t *testing.T, p patterns.Params) *trace.Trace {
+	t.Helper()
+	src, err := patterns.Generate(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Materialize(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +84,11 @@ func TestRunAheadWindowBounds(t *testing.T) {
 	// completion (= admission) rate stays far below the master's ~3.1k
 	// cycles per creation, so descriptors pile up behind the one-slot
 	// buffer until the window binds.
-	tr, err := patterns.Build(patterns.Params{
+	tr := patternTrace(t, patterns.Params{
 		Family: "no_comm", Width: 320, Steps: 2,
 		Len: 100_000, K: patterns.DefaultK, Seed: 1,
 		Layout: "malloc", Fields: 2, Height: 1, Regions: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var r runner
 	cfg := DefaultConfig()
 	cfg.Mode = FullSystem

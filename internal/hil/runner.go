@@ -98,28 +98,22 @@ type runner struct {
 	aggStarted   int
 
 	// workers holds the task each busy worker is executing, indexed by
-	// worker; occupancy itself lives only in the heaps below, so there is
-	// no second copy of busy-state to drift out of sync.
+	// worker; occupancy itself lives only in the pool's idle set and
+	// busyH, so there is no second copy of busy-state to drift out of
+	// sync.
 	workers []picos.ReadyTask
-	// idleH is a min-heap of idle worker indices (lowest index
-	// dispatches first, like the old linear scan); busyH is a min-heap
-	// of busy workers keyed (until, idx). Together they replace the
-	// all-worker scans in stepWorkers/dispatch/idleWorkers with O(log W)
-	// updates at dispatch and finish. With heterogeneous classes the
-	// until stamps already carry the class-scaled durations, so every
-	// fast-forward horizon derived from the heap head stays exact.
-	idleH sched.IdleHeap
+	// busyH is a min-heap of busy workers keyed (until, idx): O(log W)
+	// updates at dispatch and finish instead of all-worker scans. With
+	// heterogeneous classes the until stamps already carry the
+	// class-scaled durations, so every fast-forward horizon derived from
+	// the heap head stays exact.
 	busyH sched.DueHeap
 
-	// trivial marks the historical execution model (uniform workers,
-	// FIFO grants, no stealing), which keeps the legacy bit-exact
-	// dispatch path: ready tasks are pulled only when an idle worker
-	// exists and granted lowest-index-first. Non-trivial plans instead
-	// buffer every visible ready task in the pool (so policies see the
-	// full candidate set) and pair workers and tasks through it; idleH
-	// is unused and the pool tracks idle workers per class.
-	trivial bool
-	pool    sched.Pool[picos.TaskHandle]
+	// pool parks idle workers, buffers the ready tasks it wants and
+	// pairs the two under the configured plan; every grant goes through
+	// it. one is the reused one-class list of a class-less Config.
+	pool sched.Pool[picos.TaskHandle]
+	one  sched.Classes
 
 	// ARM master state (FullSystem): when the master core is free again.
 	// In Full-system mode the master also drives the AXI write for its
@@ -278,46 +272,39 @@ func (r *runner) reset(src trace.Source, whole *trace.Trace, cfg Config) error {
 	for i := range r.workers {
 		r.workers[i] = picos.ReadyTask{}
 	}
-	r.trivial = cfg.Classes.Uniform() && cfg.Sched == sched.FIFO && !cfg.Steal
-	if r.trivial {
-		if cap(r.idleH) >= cfg.Workers {
-			r.idleH = r.idleH[:cfg.Workers]
-		} else {
-			r.idleH = make(sched.IdleHeap, cfg.Workers)
+	classes := cfg.Classes
+	if len(classes) == 0 {
+		if r.one == nil {
+			r.one = sched.Single(cfg.Workers)
 		}
-		for i := range r.idleH {
-			// Ascending indices are already a valid min-heap.
-			r.idleH[i] = i
-		}
-	} else {
-		r.idleH = r.idleH[:0]
-		classes := cfg.Classes
-		if len(classes) == 0 {
-			classes = sched.Single(cfg.Workers)
-		}
-		// A stream's kind usage and bottom levels are unknown up front:
-		// the class list must cover every declared kind, and the priority
-		// policy is refused by the pool.
+		r.one[0].Count = cfg.Workers
+		classes = r.one
+	}
+	// A stream's kind usage and bottom levels are unknown up front: the
+	// class list must cover every declared kind, and the priority policy
+	// is refused by the pool. Only an affinity list can leave a kind
+	// uncovered, so a uniform platform skips the check.
+	var prio []uint64
+	if whole != nil && cfg.Sched == sched.Priority {
+		prio = taskgraph.Build(whole).BottomLevels()
+	}
+	if !classes.Uniform() {
 		var present []bool
-		var prio []uint64
 		if whole != nil {
 			present = make([]bool, len(r.kinds)+1)
 			for i := range whole.Tasks {
 				present[whole.Tasks[i].Kind] = true
 			}
-			if cfg.Sched == sched.Priority {
-				prio = taskgraph.Build(whole).BottomLevels()
-			}
 		}
 		if err := classes.CheckCoverage(r.kinds, present); err != nil {
 			return err
 		}
-		if err := r.pool.Reset(classes, cfg.Sched, cfg.Steal, r.kinds, prio); err != nil {
-			return fmt.Errorf("hil: %w", err)
-		}
-		for i := 0; i < cfg.Workers; i++ {
-			r.pool.Park(i)
-		}
+	}
+	if err := r.pool.Reset(classes, cfg.Sched, cfg.Steal, r.kinds, prio); err != nil {
+		return fmt.Errorf("hil: %w", err)
+	}
+	for i := 0; i < cfg.Workers; i++ {
+		r.pool.Park(i)
 	}
 	r.busyH = r.busyH[:0]
 
@@ -566,7 +553,7 @@ func (r *runner) wedged(now uint64) bool {
 	// Ready tasks buffered platform-side are waiting work: with every
 	// kind's class coverage validated at reset, a grantable pairing (or
 	// a busy worker that will free one) always exists among survivors.
-	if alive && r.poolReady() > 0 {
+	if alive && r.pool.Len() > 0 {
 		return false
 	}
 	// A master with tasks left to create is alive only while its
@@ -696,20 +683,16 @@ func (r *runner) timedOutResult() *Result {
 }
 
 // readyInterest reports whether the platform would act on a task
-// becoming ready: an idle worker to dispatch to in HW-only mode, spare
-// fetch capacity on the link in the comm modes. Non-trivial scheduling
-// plans buffer eagerly in HW-only mode (the policy wants every visible
-// candidate), and count the platform-side buffer against the link's
-// fetch window in the comm modes so the link still never fetches more
-// tasks than there are workers to absorb them.
+// becoming ready: the pool wanting another task in HW-only mode (an
+// eager plan always, an on-demand one while a worker is idle), spare
+// fetch capacity on the link in the comm modes. The comm modes count
+// the pool's buffer against the link's fetch window, so the link never
+// fetches more tasks than there are workers to absorb them.
 func (r *runner) readyInterest() bool {
 	if r.cfg.Mode == HWOnly {
-		if !r.trivial {
-			return true
-		}
-		return r.idleWorkers() > 0
+		return r.pool.Wants()
 	}
-	return r.idleWorkers() > r.readyInFlight+r.readyBacklog.Len()+r.poolReady()
+	return r.pool.Idle() > r.readyInFlight+r.readyBacklog.Len()+r.pool.Len()
 }
 
 // nextWake returns the next cycle the platform loop must be evaluated
@@ -816,11 +799,7 @@ func (r *runner) stepWorkers(now uint64) {
 	for len(r.busyH) > 0 && r.busyH[0].Until <= now {
 		until := r.busyH[0].Until
 		idx := r.busyH.Pop().Idx
-		if r.trivial {
-			r.idleH.Push(idx)
-		} else {
-			r.pool.Park(idx)
-		}
+		r.pool.Park(idx)
 		r.done++
 		r.lastProgress = now
 		if r.cfg.Mode == HWOnly {
@@ -1025,26 +1004,14 @@ func (r *runner) send(now, occ uint64, msg busMsg) {
 }
 
 // dispatch hands ready tasks to idle workers: directly from the TS in
-// HW-only mode, from the fetched backlog in the comm modes. On the
-// trivial (historical) plan the idle heap hands out the lowest index
-// first, like the old linear scan, pulling ready tasks only on demand.
-// Non-trivial plans first buffer every visible ready task into the
-// pool — policies need the full candidate set — then pair workers and
-// tasks under the configured policy.
+// HW-only mode, from the fetched backlog in the comm modes. It moves
+// ready tasks into the pool while the pool wants them — one per idle
+// worker on the historical plan, every visible one otherwise — then
+// pairs workers and tasks under the configured policy.
 //
 //picos:hotpath
 func (r *runner) dispatch(now uint64) {
-	if r.trivial {
-		for len(r.idleH) > 0 {
-			rt, ok := r.popDispatchable()
-			if !ok {
-				return
-			}
-			r.startWorkerAt(r.idleH.Pop(), rt, now)
-		}
-		return
-	}
-	for {
+	for r.pool.Wants() {
 		rt, ok := r.popDispatchable()
 		if !ok {
 			break
@@ -1080,10 +1047,7 @@ func (r *runner) popDispatchable() (picos.ReadyTask, bool) {
 
 //picos:hotpath
 func (r *runner) startWorkerAt(i int, rt picos.ReadyTask, now uint64) {
-	dur := r.taskAt(rt.ID).Duration
-	if !r.trivial {
-		dur = r.pool.Scale(i, dur)
-	}
+	dur := r.pool.Scale(i, r.taskAt(rt.ID).Duration)
 	if r.flt != nil {
 		dur = r.flt.ScaleWorker(i, now, dur)
 	}
@@ -1101,22 +1065,6 @@ func (r *runner) startWorkerAt(i int, rt picos.ReadyTask, now uint64) {
 	r.aggLastStart = now
 	r.aggStarted++
 	r.lastProgress = now
-}
-
-func (r *runner) idleWorkers() int {
-	if r.trivial {
-		return len(r.idleH)
-	}
-	return r.pool.Idle()
-}
-
-// poolReady is the number of ready tasks buffered platform-side by a
-// non-trivial plan (zero on the trivial path, which never buffers).
-func (r *runner) poolReady() int {
-	if r.trivial {
-		return 0
-	}
-	return r.pool.Len()
 }
 
 // busHasWork reports whether any message is waiting for the link.
@@ -1155,10 +1103,10 @@ func (r *runner) quiescentUntil(now uint64) (uint64, bool) {
 	if !r.p.Idle() {
 		return 0, false
 	}
-	// A non-trivial plan acts on any visible ready task (eager HW-only
-	// pop, backlog drain into the pool) regardless of idle workers; the
-	// trivial path only acts when a worker is free to take it.
-	if r.idleWorkers() > 0 || !r.trivial {
+	// An eager plan acts on any visible ready task (HW-only pop, backlog
+	// drain into the pool) regardless of idle workers; an on-demand one
+	// only when a worker is free to take it.
+	if r.pool.Wants() {
 		if r.cfg.Mode == HWOnly && r.p.ReadyCount() > 0 {
 			return 0, false
 		}

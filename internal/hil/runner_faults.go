@@ -33,12 +33,7 @@ func (r *runner) killWorker(w int, now uint64) {
 	if w < 0 || w >= len(r.workers) {
 		return // a victim index beyond the platform injects nothing
 	}
-	if r.trivial {
-		if r.idleH.Remove(w) {
-			r.dead++
-			return
-		}
-	} else if r.pool.Evict(w) {
+	if r.pool.Evict(w) {
 		r.dead++
 		return
 	}

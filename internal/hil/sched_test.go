@@ -58,9 +58,10 @@ func sameSchedule(t *testing.T, what string, a, b *Result) {
 
 // TestPoolPathMatchesLegacyFIFO: a single uniform class with stealing
 // on is semantically identical to the homogeneous FIFO baseline (one
-// class means one queue and no victims), but it routes every grant
-// through the sched.Pool path instead of the legacy lowest-index scan.
-// The two paths must agree byte-for-byte, on both loops — the
+// class means one queue and no victims), but the pool buffers it
+// eagerly — every visible ready task — where the baseline takes one
+// ready task per idle worker. Under the default FIFO TS the two
+// buffering rules must agree byte-for-byte, on both loops — the
 // regression net for the pluggable scheduling refactor.
 func TestPoolPathMatchesLegacyFIFO(t *testing.T) {
 	for _, tr := range schedTestTraces(t) {
@@ -70,7 +71,7 @@ func TestPoolPathMatchesLegacyFIFO(t *testing.T) {
 			pool := legacy
 			pool.Workers = 0
 			pool.Classes = mustClasses(t, "12xcore")
-			pool.Steal = true // non-trivial plan: forces the pool path
+			pool.Steal = true // eager buffering
 
 			rl := mustRun(t, tr, legacy)
 			rp := mustRun(t, tr, pool)

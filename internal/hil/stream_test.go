@@ -47,10 +47,7 @@ func TestStreamWideWindowMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := patterns.Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := patternTrace(t, p)
 	for _, mode := range streamModes {
 		cfg := DefaultConfig()
 		cfg.Mode = mode
@@ -128,10 +125,7 @@ func TestStreamRestrictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := patterns.Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := patternTrace(t, p)
 	cfg := DefaultConfig()
 	want := mustRun(t, tr, cfg)
 	got, err := RunStream(gridSource(t, query), cfg)

@@ -18,7 +18,9 @@ import (
 // at the sanctioned whole-graph sites —
 //
 //   - internal/sim: the Window<=0 compatibility route of RunSource,
-//     byte-identical to the legacy materialized path by construction
+//     byte-identical to the legacy materialized path by construction,
+//     and BuildWorkload, whose contract is a whole trace (a pattern
+//     workload is its Generate stream folded by Materialize)
 //   - internal/perfect: the critical-path roofline needs a backward
 //     pass over the finished graph, an inherently multi-pass consumer
 //   - cmd/picos-trace: serializing a whole trace to disk is the tool's
@@ -38,7 +40,7 @@ var MaterializeWall = &Analyzer{
 // to materialize a Source, with the reason each is exempt.
 var materializeSanctioned = []string{
 	"internal/trace",   // the defining package
-	"internal/sim",     // RunSource's Window<=0 compatibility route
+	"internal/sim",     // RunSource's Window<=0 route; BuildWorkload's whole-trace contract
 	"internal/perfect", // multi-pass critical-path roofline
 	"cmd/picos-trace",  // whole-trace serialization is the tool's purpose
 }

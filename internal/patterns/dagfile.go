@@ -3,6 +3,7 @@ package patterns
 import (
 	"container/heap"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -53,6 +54,12 @@ func (h *intMinHeap) Pop() any          { old := *h; n := len(old); x := old[n-1
 // emitted in a deterministic topological order seeded by declaration
 // order, so any acyclic graph replays even when edges point at
 // later-declared nodes. Durations default to DefaultLen cycles.
+
+// ErrBadDAG is the typed error every malformed graph file wraps: bad
+// syntax, a missing name, an unknown, duplicate or self-referencing
+// node, a cycle, too many predecessors. Its text is the "dag" prefix of
+// the messages.
+var ErrBadDAG = errors.New("dag")
 
 // dagNode is one parsed graph node.
 type dagNode struct {
@@ -112,24 +119,24 @@ type jsonDAGNode struct {
 func parseJSONDAG(data []byte) ([]dagNode, error) {
 	var raw []jsonDAGNode
 	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("dag: not a digraph and not a JSON node array: %w", err)
+		return nil, fmt.Errorf("%w: not a digraph and not a JSON node array: %w", ErrBadDAG, err)
 	}
 	if len(raw) > dagMaxNodes {
-		return nil, fmt.Errorf("dag: %d nodes exceeds the %d-task cap", len(raw), dagMaxNodes)
+		return nil, fmt.Errorf("%w: %d nodes exceeds the %d-task cap", ErrBadDAG, len(raw), dagMaxNodes)
 	}
 	nodes := make([]dagNode, 0, len(raw))
 	index := make(map[string]int, len(raw))
 	for _, n := range raw {
 		if n.Name == "" {
-			return nil, fmt.Errorf("dag: node %d has no name", len(nodes))
+			return nil, fmt.Errorf("%w: node %d has no name", ErrBadDAG, len(nodes))
 		}
 		if n.Dur >= 1<<40 {
 			// Same 40-bit bound as the DOT path: durations beyond it
 			// overflow cycle arithmetic (baselines sum every task).
-			return nil, fmt.Errorf("dag: node %q has dur %d beyond the 2^40-cycle cap", n.Name, n.Dur)
+			return nil, fmt.Errorf("%w: node %q has dur %d beyond the 2^40-cycle cap", ErrBadDAG, n.Name, n.Dur)
 		}
 		if _, dup := index[n.Name]; dup {
-			return nil, fmt.Errorf("dag: duplicate node %q", n.Name)
+			return nil, fmt.Errorf("%w: duplicate node %q", ErrBadDAG, n.Name)
 		}
 		index[n.Name] = len(nodes)
 		nodes = append(nodes, dagNode{name: n.Name, dur: n.Dur})
@@ -138,10 +145,10 @@ func parseJSONDAG(data []byte) ([]dagNode, error) {
 		for _, pred := range n.After {
 			pi, ok := index[pred]
 			if !ok {
-				return nil, fmt.Errorf("dag: node %q depends on unknown node %q", n.Name, pred)
+				return nil, fmt.Errorf("%w: node %q depends on unknown node %q", ErrBadDAG, n.Name, pred)
 			}
 			if pi == i {
-				return nil, fmt.Errorf("dag: node %q depends on itself", n.Name)
+				return nil, fmt.Errorf("%w: node %q depends on itself", ErrBadDAG, n.Name)
 			}
 			nodes[i].preds = append(nodes[i].preds, pi)
 		}
@@ -157,7 +164,7 @@ func parseDOT(src string) ([]dagNode, error) {
 	open := strings.IndexByte(src, '{')
 	closeIdx := strings.LastIndexByte(src, '}')
 	if open < 0 || closeIdx < open {
-		return nil, fmt.Errorf("dag: digraph body braces not found")
+		return nil, fmt.Errorf("%w: digraph body braces not found", ErrBadDAG)
 	}
 	body := src[open+1 : closeIdx]
 
@@ -168,7 +175,7 @@ func parseDOT(src string) ([]dagNode, error) {
 			return i, nil
 		}
 		if len(nodes) >= dagMaxNodes {
-			return 0, fmt.Errorf("dag: more than %d nodes", dagMaxNodes)
+			return 0, fmt.Errorf("%w: more than %d nodes", ErrBadDAG, dagMaxNodes)
 		}
 		index[name] = len(nodes)
 		nodes = append(nodes, dagNode{name: name})
@@ -192,7 +199,7 @@ func parseDOT(src string) ([]dagNode, error) {
 		// A chain a -> b -> c adds each hop as a dependence edge.
 		for i := 1; i < len(ids); i++ {
 			if ids[i] == ids[i-1] {
-				return nil, fmt.Errorf("dag: node %q depends on itself", names[i])
+				return nil, fmt.Errorf("%w: node %q depends on itself", ErrBadDAG, names[i])
 			}
 			nodes[ids[i]].preds = append(nodes[ids[i]].preds, ids[i-1])
 		}
@@ -201,11 +208,11 @@ func parseDOT(src string) ([]dagNode, error) {
 			// attribute list describes the edge, and guessing a node to
 			// attach it to would silently corrupt durations.
 			if len(names) != 1 {
-				return nil, fmt.Errorf("dag: dur attribute on edge statement %q (put it on a node statement)", strings.Join(names, " -> "))
+				return nil, fmt.Errorf("%w: dur attribute on edge statement %q (put it on a node statement)", ErrBadDAG, strings.Join(names, " -> "))
 			}
 			dur, err := strconv.ParseUint(durStr, 10, 40)
 			if err != nil || dur == 0 {
-				return nil, fmt.Errorf("dag: node %q has bad dur %q", names[0], durStr)
+				return nil, fmt.Errorf("%w: node %q has bad dur %q", ErrBadDAG, names[0], durStr)
 			}
 			nodes[ids[0]].dur = dur
 		}
@@ -258,7 +265,7 @@ func parseDOTStatement(stmt string) (names []string, attrs map[string]string, er
 	if open := strings.IndexByte(stmt, '['); open >= 0 {
 		closeIdx := strings.LastIndexByte(stmt, ']')
 		if closeIdx < open {
-			return nil, nil, fmt.Errorf("dag: unterminated attribute list in %q", stmt)
+			return nil, nil, fmt.Errorf("%w: unterminated attribute list in %q", ErrBadDAG, stmt)
 		}
 		attrs = map[string]string{}
 		for _, kv := range strings.FieldsFunc(stmt[open+1:closeIdx], func(r rune) bool { return r == ',' || r == ' ' }) {
@@ -279,7 +286,7 @@ func parseDOTStatement(stmt string) (names []string, attrs map[string]string, er
 			return nil, nil, err
 		}
 		if name == "" {
-			return nil, nil, fmt.Errorf("dag: empty node name in %q", stmt)
+			return nil, nil, fmt.Errorf("%w: empty node name in %q", ErrBadDAG, stmt)
 		}
 		names = append(names, name)
 	}
@@ -290,28 +297,34 @@ func parseDOTStatement(stmt string) (names []string, attrs map[string]string, er
 func parseDOTName(s string) (string, error) {
 	if strings.HasPrefix(s, `"`) {
 		if len(s) < 2 || !strings.HasSuffix(s, `"`) {
-			return "", fmt.Errorf("dag: unterminated quoted name %q", s)
+			return "", fmt.Errorf("%w: unterminated quoted name %q", ErrBadDAG, s)
 		}
 		return s[1 : len(s)-1], nil
 	}
 	for _, r := range s {
 		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' && r != '.' && r != '-' {
-			return "", fmt.Errorf("dag: bad node name %q (quote names with special characters)", s)
+			return "", fmt.Errorf("%w: bad node name %q (quote names with special characters)", ErrBadDAG, s)
 		}
 	}
 	return s, nil
 }
 
 // dagBase places replayed-graph addresses in their own arena, with the
-// malloc-style stride the generated families use.
-const dagBase = 0x7800_0000
+// malloc-style stride the generated families use; node n (declaration
+// index) owns dagAddr(n).
+const (
+	dagBase   = 0x7800_0000
+	dagStride = 0x8010
+)
+
+func dagAddr(node int) uint64 { return dagBase + uint64(node)*dagStride }
 
 // dagTrace converts parsed nodes into a validated trace: deterministic
 // topological order (Kahn's algorithm, declaration order as the
 // tie-break), one address region per node.
 func dagTrace(nodes []dagNode) (*trace.Trace, error) {
 	if len(nodes) == 0 {
-		return nil, fmt.Errorf("dag: no tasks")
+		return nil, fmt.Errorf("%w: no tasks", ErrBadDAG)
 	}
 	// Deduplicate predecessor lists (parallel edges collapse into one
 	// dependence; the hardware rejects duplicate addresses per task).
@@ -326,8 +339,8 @@ func dagTrace(nodes []dagNode) (*trace.Trace, error) {
 		}
 		nodes[i].preds = kept
 		if len(kept) > trace.MaxDeps-1 {
-			return nil, fmt.Errorf("dag: node %q has %d predecessors; the hardware tracks at most %d dependences per task (1 output + %d inputs)",
-				nodes[i].name, len(kept), trace.MaxDeps, trace.MaxDeps-1)
+			return nil, fmt.Errorf("%w: node %q has %d predecessors; the hardware tracks at most %d dependences per task (1 output + %d inputs)",
+				ErrBadDAG, nodes[i].name, len(kept), trace.MaxDeps, trace.MaxDeps-1)
 		}
 	}
 	// Kahn's algorithm over declaration order.
@@ -360,18 +373,17 @@ func dagTrace(nodes []dagNode) (*trace.Trace, error) {
 		}
 	}
 	if len(order) != len(nodes) {
-		return nil, fmt.Errorf("dag: the graph has a cycle (%d of %d nodes reachable in topological order)", len(order), len(nodes))
+		return nil, fmt.Errorf("%w: the graph has a cycle (%d of %d nodes reachable in topological order)", ErrBadDAG, len(order), len(nodes))
 	}
 
-	addr := func(node int) uint64 { return dagBase + uint64(node)*0x8010 }
 	tr := &trace.Trace{Name: "pattern-dagfile"}
 	tr.Tasks = make([]trace.Task, 0, len(nodes))
 	for id, n := range order {
 		node := &nodes[n]
 		deps := make([]trace.Dep, 0, len(node.preds)+1)
-		deps = append(deps, trace.Dep{Addr: addr(n), Dir: trace.InOut})
+		deps = append(deps, trace.Dep{Addr: dagAddr(n), Dir: trace.InOut})
 		for _, p := range node.preds {
-			deps = append(deps, trace.Dep{Addr: addr(p), Dir: trace.In})
+			deps = append(deps, trace.Dep{Addr: dagAddr(p), Dir: trace.In})
 		}
 		dur := node.dur
 		if dur == 0 {
@@ -380,7 +392,7 @@ func dagTrace(nodes []dagNode) (*trace.Trace, error) {
 		tr.Tasks = append(tr.Tasks, trace.Task{ID: uint32(id), Deps: deps, Duration: dur})
 	}
 	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("dag: built an invalid trace: %w", err)
+		return nil, fmt.Errorf("%w: built an invalid trace: %w", ErrBadDAG, err)
 	}
 	return tr, nil
 }

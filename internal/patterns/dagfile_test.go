@@ -95,7 +95,7 @@ func TestParseDAGRejects(t *testing.T) {
 	}
 }
 
-// TestDagfileWorkload: the family plumbs through Parse/Build with a
+// TestDagfileWorkload: the family plumbs through Parse/Generate with a
 // path parameter, producing a validated replayable trace.
 func TestDagfileWorkload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.dot")
@@ -109,7 +109,7 @@ func TestDagfileWorkload(t *testing.T) {
 	if q, err := Parse(p.Spec()); err != nil || p != q {
 		t.Fatalf("dagfile round trip: %+v != %+v (%v)", p, q, err)
 	}
-	tr, err := Build(p)
+	tr, err := materialize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDagfileWorkload(t *testing.T) {
 	if _, err := Parse("stencil_1d?path=x"); err == nil {
 		t.Error("grid family accepted a path")
 	}
-	if _, err := Build(Params{Family: "dagfile", Path: filepath.Join(t.TempDir(), "missing.dot")}); err == nil {
+	if _, err := materialize(Params{Family: "dagfile", Path: filepath.Join(t.TempDir(), "missing.dot")}); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -19,46 +19,47 @@ import (
 // bound streaming exists to avoid).
 var ErrRetiredNode = errors.New("patterns: dag edge references a node outside the retention window")
 
-// streamDAGFile opens the graph file named by p.Path as a lazy source.
+// streamDAGFile opens the graph file named by p.Path as a source.
 //
-// JSON node arrays stream genuinely: the array is decoded one node at a
-// time with a token decoder, and only the last retain declared node
-// names are kept for edge resolution (retain 0: unbounded), so an
-// arbitrarily long declaration-ordered graph replays in O(retain)
-// state. The declaration order must therefore be topological ("after"
-// edges point at earlier nodes) — the materialized ParseDAG's Kahn
-// reordering needs the whole graph by definition. For graphs that are
-// already declaration-ordered the two emit byte-identical traces: Kahn
-// with a min-index frontier pops 0, 1, 2, ... exactly when every edge
-// points backward.
+// Under a retention window (retain > 0) JSON node arrays stream
+// genuinely: the array is decoded one node at a time with a token
+// decoder, and only the last retain declared node names are kept for
+// edge resolution, so an arbitrarily long declaration-ordered graph
+// replays in O(retain) state. The declaration order must therefore be
+// topological ("after" edges point at earlier nodes) — the materialized
+// ParseDAG's Kahn reordering needs the whole graph by definition. For
+// graphs that are already declaration-ordered the two emit
+// byte-identical traces: Kahn with a min-index frontier pops 0, 1, 2,
+// ... exactly when every edge points backward.
 //
-// DOT's grammar allows forward references and attributes after edges,
-// so DOT content is parsed whole (via ParseDAG) and re-streamed; the
-// retention-window check still applies, so a DOT graph whose edges span
-// more than retain emitted tasks fails with the same ErrRetiredNode a
-// streamed JSON one would.
+// Without a window, and for DOT content at any window (DOT's grammar
+// allows forward references and attributes after edges), the file is
+// parsed whole by ParseDAG and re-streamed; the retention-window check
+// still applies, so a DOT graph whose edges span more than retain
+// emitted tasks fails with the same ErrRetiredNode a streamed JSON one
+// would.
 func streamDAGFile(p Params, retain int) (trace.Source, error) {
-	head, err := sniffDAGHead(p.Path)
-	if err != nil {
-		return nil, err
-	}
-	name := "pattern-" + p.Name()
-	if strings.HasPrefix(head, "digraph") || strings.HasPrefix(head, "strict") {
-		tr, err := buildDAGFile(p)
+	if retain > 0 {
+		head, err := sniffDAGHead(p.Path)
 		if err != nil {
 			return nil, err
 		}
-		if err := checkDAGRetention(tr, retain); err != nil {
-			return nil, err
+		if !strings.HasPrefix(head, "digraph") && !strings.HasPrefix(head, "strict") {
+			src := &dagJSONSource{path: p.Path, name: "pattern-" + p.Name(), retain: retain}
+			if err := src.Rewind(); err != nil {
+				return nil, err
+			}
+			return src, nil
 		}
-		tr.Name = name
-		return trace.FromTrace(tr), nil
 	}
-	src := &dagJSONSource{path: p.Path, name: name, retain: retain}
-	if err := src.Rewind(); err != nil {
+	tr, err := buildDAGFile(p)
+	if err != nil {
 		return nil, err
 	}
-	return src, nil
+	if err := checkDAGRetention(tr, retain); err != nil {
+		return nil, err
+	}
+	return trace.FromTrace(tr), nil
 }
 
 // sniffDAGHead reads the first non-space bytes of the file, enough to
@@ -79,14 +80,21 @@ func sniffDAGHead(path string) (string, error) {
 
 // checkDAGRetention verifies every edge of a materialized dag trace
 // spans at most retain tasks, so a whole-file parse enforces the same
-// window a true stream would.
+// window a true stream would. Addresses name nodes by declaration index
+// and the window counts emission positions, which the topological
+// reordering can change, so each task's own region (Deps[0]) maps its
+// node back to its position first.
 func checkDAGRetention(tr *trace.Trace, retain int) error {
 	if retain <= 0 {
 		return nil
 	}
+	pos := make([]int, len(tr.Tasks))
 	for i := range tr.Tasks {
-		for _, d := range tr.Tasks[i].Deps[1:] { // Deps[0] is the own inout region
-			pred := int(d.Addr-dagBase) / 0x8010
+		pos[(tr.Tasks[i].Deps[0].Addr-dagBase)/dagStride] = i
+	}
+	for i := range tr.Tasks {
+		for _, d := range tr.Tasks[i].Deps[1:] {
+			pred := pos[(d.Addr-dagBase)/dagStride]
 			if i-pred > retain {
 				return fmt.Errorf("%w: task %d reads task %d, %d tasks back (window %d)",
 					ErrRetiredNode, i, pred, i-pred, retain)
@@ -139,11 +147,11 @@ func (s *dagJSONSource) Rewind() error {
 	tok, err := dec.Token()
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("patterns: dagfile %s: not a digraph and not a JSON node array: %w", s.path, err)
+		return fmt.Errorf("patterns: dagfile %s: %w: not a digraph and not a JSON node array: %w", s.path, ErrBadDAG, err)
 	}
 	if delim, ok := tok.(json.Delim); !ok || delim != '[' {
 		f.Close()
-		return fmt.Errorf("patterns: dagfile %s: not a digraph and not a JSON node array (got %v)", s.path, tok)
+		return fmt.Errorf("patterns: dagfile %s: %w: not a digraph and not a JSON node array (got %v)", s.path, ErrBadDAG, tok)
 	}
 	s.f, s.dec = f, dec
 	s.index = make(map[string]int)
@@ -174,7 +182,7 @@ func (s *dagJSONSource) Next() (trace.Task, bool) {
 	if !s.dec.More() {
 		s.done = true
 		if _, err := s.dec.Token(); err != nil { // the closing ']'
-			return s.fail(fmt.Errorf("patterns: dagfile %s: %w", s.path, err))
+			return s.fail(fmt.Errorf("patterns: dagfile %s: %w: %w", s.path, ErrBadDAG, err))
 		}
 		s.f.Close()
 		s.f = nil
@@ -182,27 +190,31 @@ func (s *dagJSONSource) Next() (trace.Task, bool) {
 	}
 	var n jsonDAGNode
 	if err := s.dec.Decode(&n); err != nil {
-		return s.fail(fmt.Errorf("patterns: dagfile %s: node %d: %w", s.path, s.next, err))
+		return s.fail(fmt.Errorf("patterns: dagfile %s: %w: node %d: %w", s.path, ErrBadDAG, s.next, err))
 	}
 	id := s.next
 	if id >= dagMaxNodes {
-		return s.fail(fmt.Errorf("patterns: dagfile %s: more than %d nodes", s.path, dagMaxNodes))
+		return s.fail(fmt.Errorf("patterns: dagfile %s: %w: more than %d nodes", s.path, ErrBadDAG, dagMaxNodes))
 	}
 	if n.Name == "" {
-		return s.fail(fmt.Errorf("patterns: dagfile %s: node %d has no name", s.path, id))
+		return s.fail(fmt.Errorf("patterns: dagfile %s: %w: node %d has no name", s.path, ErrBadDAG, id))
 	}
 	if n.Dur >= 1<<40 {
-		return s.fail(fmt.Errorf("patterns: dagfile %s: node %q has dur %d beyond the 2^40-cycle cap", s.path, n.Name, n.Dur))
+		return s.fail(fmt.Errorf("patterns: dagfile %s: %w: node %q has dur %d beyond the 2^40-cycle cap", s.path, ErrBadDAG, n.Name, n.Dur))
 	}
 	if _, dup := s.index[n.Name]; dup {
-		return s.fail(fmt.Errorf("patterns: dagfile %s: duplicate node %q", s.path, n.Name))
+		return s.fail(fmt.Errorf("patterns: dagfile %s: %w: duplicate node %q", s.path, ErrBadDAG, n.Name))
 	}
 
-	addr := func(node int) uint64 { return dagBase + uint64(node)*0x8010 }
 	deps := make([]trace.Dep, 0, len(n.After)+1)
-	deps = append(deps, trace.Dep{Addr: addr(id), Dir: trace.InOut})
+	deps = append(deps, trace.Dep{Addr: dagAddr(id), Dir: trace.InOut})
 	seen := map[int]bool{}
 	for _, pred := range n.After {
+		if pred == n.Name {
+			// Not yet in the index, so the lookup below would blame the
+			// window for what ParseDAG reports as a self-edge.
+			return s.fail(fmt.Errorf("patterns: dagfile %s: %w: node %q depends on itself", s.path, ErrBadDAG, n.Name))
+		}
 		pi, ok := s.index[pred]
 		if !ok {
 			return s.fail(fmt.Errorf("%w: node %q (task %d) reads %q, not among the last %d declared nodes",
@@ -212,11 +224,11 @@ func (s *dagJSONSource) Next() (trace.Task, bool) {
 			continue // parallel edges collapse, as in the materialized path
 		}
 		seen[pi] = true
-		deps = append(deps, trace.Dep{Addr: addr(pi), Dir: trace.In})
+		deps = append(deps, trace.Dep{Addr: dagAddr(pi), Dir: trace.In})
 	}
 	if len(deps) > trace.MaxDeps {
-		return s.fail(fmt.Errorf("patterns: dagfile %s: node %q has %d predecessors; the hardware tracks at most %d dependences per task (1 output + %d inputs)",
-			s.path, n.Name, len(deps)-1, trace.MaxDeps, trace.MaxDeps-1))
+		return s.fail(fmt.Errorf("patterns: dagfile %s: %w: node %q has %d predecessors; the hardware tracks at most %d dependences per task (1 output + %d inputs)",
+			s.path, ErrBadDAG, n.Name, len(deps)-1, trace.MaxDeps, trace.MaxDeps-1))
 	}
 
 	if s.retain > 0 {

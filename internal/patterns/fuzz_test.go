@@ -1,6 +1,12 @@
 package patterns
 
-import "testing"
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
 
 // FuzzParsePattern drives arbitrary strings through the workload
 // grammar: whatever Parse accepts must round-trip through Spec() and
@@ -30,7 +36,7 @@ func FuzzParsePattern(f *testing.F) {
 		if p.Width*p.Steps > 4096 {
 			return // keep the fuzz iteration cheap
 		}
-		tr, err := Build(p)
+		tr, err := materialize(p)
 		if err != nil {
 			t.Fatalf("accepted params %+v failed to build: %v", p, err)
 		}
@@ -65,6 +71,39 @@ func FuzzParseDAG(f *testing.F) {
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("accepted graph built an invalid trace: %v", err)
+		}
+	})
+}
+
+// FuzzDAGStream drives arbitrary bytes through the dagfile family under
+// a retention window: Generate plus a full drain must never panic, every
+// failure must be one of the family's typed errors, and whenever both
+// the stream and ParseDAG accept a graph with the whole graph inside the
+// window, they must build the same tasks.
+func FuzzDAGStream(f *testing.F) {
+	f.Add([]byte(`[{"name":"a"},{"name":"b"},{"name":"c"},{"name":"d","after":["a"]}]`), uint8(2))
+	f.Add([]byte(`[{"name":"a"},{"name":"b","dur":"oops"}]`), uint8(2))
+	f.Add([]byte(`digraph g { p; x1; x2; x3; q; q -> p; p -> r; }`), uint8(2))
+	f.Add([]byte(`[{"name":"a"},{"name":"b","after":["b"]}]`), uint8(2))
+	f.Add([]byte(`[{"name":"a","dur":5},{"name":"b","after":["a","a"]}]`), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, retain uint8) {
+		path := filepath.Join(t.TempDir(), "g")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := streamDAG(Params{Family: "dagfile", Path: path}, int(retain))
+		if err != nil {
+			if !errors.Is(err, ErrBadDAG) && !errors.Is(err, ErrRetiredNode) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		want, err := ParseDAG(data)
+		if err != nil || int(retain) < len(want.Tasks) {
+			return
+		}
+		if !reflect.DeepEqual(got.Tasks, want.Tasks) {
+			t.Fatalf("window %d: streamed %v, parsed %v", retain, got.Tasks, want.Tasks)
 		}
 	})
 }

@@ -9,18 +9,28 @@ import (
 	"repro/internal/trace"
 )
 
-// Generate returns a lazy trace.Source over the pattern: tasks are
-// produced one at a time in the same step-major creation order Build
-// materializes, so Materialize(Generate(p)) is byte-identical to
-// Build(p) (the equivalence test in generate_test.go locks it), but the
-// grid is never held in memory — a width*steps grid of millions of
-// tasks streams in O(width) state. task-bench generates its grids the
-// same way: the dependence functions are closed-form in (t, i), so
-// nothing about a timestep needs the materialized previous one.
+// Generate returns a lazy trace.Source over the pattern, the one
+// generator of every family. The task at (t, i) carries an inout
+// dependence on point i's step-t field buffer plus in dependences on the
+// step-(t-1) field buffers of the points its family names — so with the
+// default two fields, reads bind to the previous step's writes exactly
+// as in task-bench's double-buffered execution, and with fields=1 they
+// bind in-place, Gauss-Seidel style. Inputs that alias the task's own
+// buffer or each other are deduplicated, and the per-task dependence
+// list is truncated at the hardware's trace.MaxDeps.
 //
-// retain bounds the dagfile family's node-retention window (0:
-// unbounded); the grid families ignore it — their per-task state is
-// already bounded by the row width.
+// Tasks are produced one at a time in step-major creation order (the
+// order the task-bench OmpSs port issues them), so the grid is never
+// held in memory — a width*steps grid of millions of tasks streams in
+// O(width) state. task-bench generates its grids the same way: the
+// dependence functions are closed-form in (t, i), so nothing about a
+// timestep needs the materialized previous one. trace.Materialize folds
+// the stream into a whole trace; TestTraceGolden pins those bytes.
+//
+// retain bounds the dagfile family's node-retention window (<= 0:
+// unbounded, and the graph file is parsed whole by ParseDAG); the grid
+// families ignore it — their per-task state is already bounded by the
+// row width.
 func Generate(p Params, retain int) (trace.Source, error) {
 	fam, ok := families[p.Family]
 	if !ok {
@@ -106,8 +116,7 @@ func (s *gridSource) reset() {
 	clear(s.seen)
 }
 
-// buf returns the step-t field buffer of point i, matching Build's
-// layout arithmetic slot for slot.
+// buf returns the step-t field buffer of point i.
 func (s *gridSource) buf(i, t int) uint64 {
 	if s.addrs != nil {
 		return s.addrs[i*s.p.Fields+t%s.p.Fields]
@@ -118,8 +127,8 @@ func (s *gridSource) buf(i, t int) uint64 {
 // freshShardAddr advances the sequential probe cursor to the given slot
 // and returns its address. Fresh-address tasks consume slots in strictly
 // increasing order (slot = t*points+i in emission order), so the cursor
-// only ever moves forward — skipped hole slots are probed and discarded
-// exactly as Build's precomputed table does.
+// only ever moves forward — the slots of hole points are probed and
+// discarded, so every point keeps its shard.
 func (s *gridSource) freshShardAddr(slot int) uint64 {
 	var addr uint64
 	for ; s.slot <= slot; s.slot++ {
@@ -180,8 +189,8 @@ func (s *gridSource) Next() (trace.Task, bool) {
 	}
 }
 
-// addRegions mirrors Build's addRegions: one dependence per address
-// region, deduplicated, capped at the hardware's per-task limit.
+// addRegions appends one dependence per address region of a point
+// buffer, deduplicated and capped at the hardware's per-task limit.
 func (s *gridSource) addRegions(deps []trace.Dep, base uint64, dir trace.Direction) []trace.Dep {
 	for r := 0; r < s.p.Regions; r++ {
 		a := base + uint64(r)*regionStride

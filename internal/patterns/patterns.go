@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"repro/internal/detrand"
-	"repro/internal/picos"
 	"repro/internal/trace"
 )
 
@@ -65,7 +64,7 @@ const (
 // Families whose dependence sets grow with the width (dom, all_to_all)
 // are truncated deterministically so no task exceeds the hardware's
 // 15-dependence limit (trace.MaxDeps): their inputs functions emit at
-// most MaxDeps candidates and Build's per-task cap keeps the owner
+// most MaxDeps candidates and Generate's per-task cap keeps the owner
 // dependence plus the first 14 distinct reads.
 
 // Params is a fully-resolved pattern specification.
@@ -159,7 +158,7 @@ const regionStride = uint64(1<<40) | 0x44
 
 // family is one dependence-pattern family: inputs returns the previous-
 // step points that (t,i) reads, for t >= 1. Implementations may return
-// i itself or duplicates; Build filters both.
+// i itself or duplicates; Generate filters both.
 type family struct {
 	desc     string
 	needPow2 bool
@@ -581,127 +580,6 @@ func (p Params) Spec() string {
 		}
 	}
 	return p.Family + "?" + q.Encode()
-}
-
-// Build generates the pattern's task trace: width*steps tasks in
-// creation order (step-major, the order the task-bench OmpSs port issues
-// them). The task at (t, i) carries an inout dependence on point i's
-// step-t field buffer plus in dependences on the step-(t-1) field
-// buffers of the points its family names — so with the default two
-// fields, reads bind to the previous step's writes exactly as in
-// task-bench's double-buffered execution, and with fields=1 they bind
-// in-place, Gauss-Seidel style. Inputs that alias the task's own buffer
-// or each other are deduplicated, and the per-task dependence list is
-// truncated at the hardware's trace.MaxDeps. The returned trace always
-// passes trace.Validate.
-func Build(p Params) (*trace.Trace, error) {
-	fam, ok := families[p.Family]
-	if !ok {
-		return nil, fmt.Errorf("patterns: unknown family %q (have %s)", p.Family, strings.Join(Families(), ", "))
-	}
-	if p.Family == "dagfile" {
-		return buildDAGFile(p)
-	}
-	stride := layoutStrides[p.Layout]
-	if stride == 0 {
-		return nil, fmt.Errorf("patterns: unknown layout %q (have malloc, aligned, spread)", p.Layout)
-	}
-	if p.Fields < 1 {
-		p.Fields = DefaultFields
-	}
-	if p.Height < 1 {
-		p.Height = 1
-	}
-	if p.Regions < 1 {
-		p.Regions = 1
-	}
-	points := p.points()
-	buf := func(i, t int) uint64 {
-		return patternBase + uint64(i*p.Fields+t%p.Fields)*stride
-	}
-	if p.Layout == "shard" {
-		// Probe the slot grid so every buffer of point i hashes to shard
-		// i*Shards/points under the fabric's xor-fold — contiguous point
-		// blocks per shard, one extra slot skipped per miss on average.
-		nbuf := points * p.Fields
-		pointOf := func(slot int) int { return slot / p.Fields }
-		if fam.freshAddr {
-			nbuf = points * p.Steps
-			pointOf = func(slot int) int { return slot % points }
-		}
-		addrs := make([]uint64, nbuf)
-		next := uint64(patternBase)
-		for s := 0; s < nbuf; s++ {
-			target := pointOf(s) * p.Shards / points
-			for picos.Shard(picos.ShardXorFold, next, p.Shards) != target {
-				next += stride
-			}
-			addrs[s] = next
-			next += stride
-		}
-		buf = func(i, t int) uint64 { return addrs[i*p.Fields+t%p.Fields] }
-		if fam.freshAddr {
-			buf = func(i, t int) uint64 { return addrs[t*points+i] }
-		}
-	}
-
-	tr := &trace.Trace{Name: "pattern-" + p.Name()}
-	tr.Tasks = make([]trace.Task, 0, points*p.Steps)
-	// Every task of a pattern runs the family's one kernel, so the trace
-	// carries the family name as its task kind — the hook worker-class
-	// affinities (sched.Classes) attach to.
-	kind := tr.KindID(p.Family)
-	seen := make(map[uint64]bool, trace.MaxDeps)
-	// addRegions appends one dependence per address region of a point
-	// buffer, deduplicated and capped at the hardware's per-task limit.
-	addRegions := func(deps []trace.Dep, base uint64, dir trace.Direction) []trace.Dep {
-		for r := 0; r < p.Regions; r++ {
-			a := base + uint64(r)*regionStride
-			if seen[a] || len(deps) == trace.MaxDeps {
-				continue
-			}
-			seen[a] = true
-			deps = append(deps, trace.Dep{Addr: a, Dir: dir})
-		}
-		return deps
-	}
-	for t := 0; t < p.Steps; t++ {
-		for i := 0; i < points; i++ {
-			if p.hole(i) {
-				continue // inactive point: no task this (or any) step
-			}
-			id := uint32(len(tr.Tasks))
-			own := buf(i, t)
-			if fam.freshAddr && p.Layout != "shard" {
-				own = patternBase + uint64(t*points+i)*stride
-			}
-			deps := make([]trace.Dep, 0, trace.MaxDeps)
-			deps = addRegions(deps, own, trace.InOut)
-			if t > 0 {
-				for _, j := range fam.inputs(p, t, i) {
-					if j < 0 || j >= points || p.hole(j) {
-						continue
-					}
-					deps = addRegions(deps, buf(j, t-1), trace.In)
-				}
-			}
-			for _, d := range deps {
-				delete(seen, d.Addr)
-			}
-			dur := p.Len
-			if p.Jitter > 0 {
-				dur = detrand.Jitter(p.Len, p.Seed^uint64(id)<<1, p.Jitter)
-			}
-			tr.Tasks = append(tr.Tasks, trace.Task{ID: id, Deps: deps, Duration: dur, Kind: kind})
-		}
-	}
-	if len(tr.Tasks) == 0 {
-		return nil, fmt.Errorf("patterns: %s: every grid point is a gap, no tasks to run", p.Name())
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("patterns: %s built an invalid trace: %w", p.Name(), err)
-	}
-	return tr, nil
 }
 
 func log2(w int) int {

@@ -87,14 +87,24 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// build is a test helper: parse + build, failing the test on error.
+// materialize is the whole-trace form of a pattern: its Generate stream
+// drained by trace.Materialize.
+func materialize(p Params) (*trace.Trace, error) {
+	src, err := Generate(p, 0)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Materialize(src)
+}
+
+// build is a test helper: parse + materialize, failing the test on error.
 func build(t *testing.T, spec string) *trace.Trace {
 	t.Helper()
 	p, err := Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Build(p)
+	tr, err := materialize(p)
 	if err != nil {
 		t.Fatal(err)
 	}

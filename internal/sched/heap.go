@@ -52,53 +52,6 @@ func (h *IdleHeap) Pop() int {
 	return top
 }
 
-// Remove deletes worker index v from the heap, reporting whether it
-// was present. O(n) scan plus sift-down — acceptable because only the
-// fault layer's fail-stop path calls it, never normal dispatch.
-func (h *IdleHeap) Remove(v int) bool {
-	s := *h
-	for i, w := range s {
-		if w != v {
-			continue
-		}
-		n := len(s) - 1
-		s[i] = s[n]
-		*h = s[:n]
-		s = s[:n]
-		if i == n {
-			return true
-		}
-		// Restore the heap property around i (the moved element may
-		// need to go either way; a full sift-down from i suffices after
-		// bubbling up once if it is smaller than its parent).
-		for i > 0 {
-			parent := (i - 1) / 2
-			if s[parent] <= s[i] {
-				break
-			}
-			s[i], s[parent] = s[parent], s[i]
-			i = parent
-		}
-		for {
-			left := 2*i + 1
-			if left >= n {
-				break
-			}
-			least := left
-			if right := left + 1; right < n && s[right] < s[left] {
-				least = right
-			}
-			if s[i] <= s[least] {
-				break
-			}
-			s[i], s[least] = s[least], s[i]
-			i = least
-		}
-		return true
-	}
-	return false
-}
-
 // Due is one busy worker: the cycle its task completes and its index.
 type Due struct {
 	Until uint64
@@ -113,9 +66,9 @@ func (a Due) less(b Due) bool {
 }
 
 // RemoveIdx deletes the entry for worker index idx from the heap,
-// returning it. Like IdleHeap.Remove this is an O(n) fault-path-only
-// operation: fail-stopping a busy worker must pull its completion
-// event so the dead worker never retires.
+// returning it. This is an O(n) fault-path-only operation:
+// fail-stopping a busy worker must pull its completion event so the
+// dead worker never retires.
 func (h *DueHeap) RemoveIdx(idx int) (Due, bool) {
 	s := *h
 	for i := range s {

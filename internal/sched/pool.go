@@ -4,6 +4,14 @@ package sched
 // push ready tasks in (Enqueue), park workers that finished (Park), and
 // repeatedly ask for deterministic (worker, task) pairings (Grant).
 //
+// The pool also decides how eagerly an engine hands it ready tasks
+// (Wants). The historical plan — uniform classes, FIFO, no stealing —
+// takes tasks on demand, one per idle worker, so a task the pool does
+// not yet need stays in the engine's upstream queue. Every other plan
+// takes each ready task as soon as it is visible, because its policy
+// chooses among the whole candidate set. The two rules give different
+// schedules when the upstream queue is not itself FIFO.
+//
 // Determinism contract, locked by regression tests:
 //
 //   - workers are considered in ascending global index order, so with
@@ -25,8 +33,10 @@ type Pool[P any] struct {
 	policy  Policy
 	steal   bool
 	prio    []uint64 // by task id; set for Priority
-	el      [][]bool // per class; nil row = every kind
+	el      [][]bool // per class; empty row = every kind
 	classOf []uint8  // worker -> class
+	// onDemand: take one ready task per idle worker (see Wants).
+	onDemand bool
 
 	idle      IdleHeap
 	idleByCls []int // idle worker count per class
@@ -60,7 +70,8 @@ func (p *Pool[P]) Reset(classes Classes, policy Policy, steal bool, kinds []stri
 	p.policy = policy
 	p.steal = steal
 	p.prio = prio
-	p.el = classes.Eligibility(kinds)
+	p.el = classes.eligibility(p.el, kinds)
+	p.onDemand = classes.Uniform() && policy == FIFO && !steal
 
 	nw := classes.Workers()
 	if cap(p.classOf) < nw {
@@ -126,6 +137,11 @@ func (p *Pool[P]) Len() int { return p.qlen }
 // Idle returns the number of idle (parked) workers.
 func (p *Pool[P]) Idle() int { return len(p.idle) }
 
+// Wants reports whether the pool takes another ready task now: always
+// for an eager plan, only while idle workers outnumber the queued tasks
+// for an on-demand one.
+func (p *Pool[P]) Wants() bool { return !p.onDemand || len(p.idle) > p.qlen }
+
 // Park marks worker w idle.
 func (p *Pool[P]) Park(w int) {
 	p.idle.Push(w)
@@ -135,7 +151,7 @@ func (p *Pool[P]) Park(w int) {
 // eligible reports whether class ci may run kind k.
 func (p *Pool[P]) eligible(ci int, k uint16) bool {
 	row := p.el[ci]
-	return row == nil || row[k]
+	return len(row) == 0 || row[k]
 }
 
 // homeClass picks the queue a new task parks in when stealing is on:
@@ -261,6 +277,9 @@ func (p *Pool[P]) takeFor(w int) (Item[P], bool) {
 // in the task kind's locality history. Call it in a loop until it
 // returns false.
 func (p *Pool[P]) Grant() (w int, it Item[P], ok bool) {
+	if p.qlen == 0 {
+		return w, it, false
+	}
 	p.scratch = p.scratch[:0]
 	for len(p.idle) > 0 {
 		cand := p.idle.Pop()

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -203,16 +204,27 @@ func (cs Classes) Scale(ci int, dur uint64) uint64 {
 // whether kind id k may run on the class. Affinity names absent from
 // the table simply match nothing (the class sits idle for this trace).
 func (cs Classes) Eligibility(kinds []string) [][]bool {
-	el := make([][]bool, len(cs))
+	return cs.eligibility(nil, kinds)
+}
+
+// eligibility is Eligibility writing into el's storage, rows included,
+// so a warm Pool.Reset allocates nothing. A reused row of a class
+// without affinity is empty rather than nil.
+func (cs Classes) eligibility(el [][]bool, kinds []string) [][]bool {
+	if cap(el) < len(cs) {
+		el = make([][]bool, len(cs))
+	}
+	el = el[:len(cs)]
 	for ci, c := range cs {
-		if len(c.Affinity) == 0 {
-			continue
-		}
-		row := make([]bool, len(kinds)+1)
-		for _, fam := range c.Affinity {
-			for ki, k := range kinds {
-				if k == fam {
-					row[ki+1] = true
+		row := el[ci][:0]
+		if len(c.Affinity) > 0 {
+			row = slices.Grow(row, len(kinds)+1)[:len(kinds)+1]
+			clear(row)
+			for _, fam := range c.Affinity {
+				for ki, k := range kinds {
+					if k == fam {
+						row[ki+1] = true
+					}
 				}
 			}
 		}
@@ -345,11 +357,4 @@ type Plan struct {
 	// Steal enables per-class ready queues with deterministic
 	// ascending-class victim order.
 	Steal bool
-}
-
-// Trivial reports whether the plan is the historical execution model —
-// uniform workers, FIFO grants, no stealing — for which engines keep
-// their legacy bit-exact paths.
-func (p Plan) Trivial() bool {
-	return p.Classes.Uniform() && p.Policy == FIFO && !p.Steal
 }

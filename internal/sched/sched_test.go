@@ -145,18 +145,43 @@ func TestPolicyParse(t *testing.T) {
 	}
 }
 
-func TestPlanTrivial(t *testing.T) {
-	if !(Plan{}).Trivial() {
-		t.Error("zero plan not trivial")
+// TestPoolOnDemand: the historical plan (uniform classes, FIFO, no
+// stealing) takes one ready task per idle worker; every other plan
+// takes every ready task as soon as it is offered.
+func TestPoolOnDemand(t *testing.T) {
+	var p Pool[int]
+	if err := p.Reset(Single(2), FIFO, false, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p.Wants() {
+		t.Error("on-demand pool without idle workers wants a task")
+	}
+	p.Park(0)
+	p.Park(1)
+	for i := 0; i < 2; i++ {
+		if !p.Wants() {
+			t.Fatalf("on-demand pool with %d idle workers and %d queued tasks wants none", p.Idle(), p.Len())
+		}
+		p.Enqueue(uint32(i), 0, i)
+	}
+	if p.Wants() {
+		t.Error("on-demand pool wants more tasks than it has idle workers")
 	}
 	hetero, _ := Parse("4xa+4xb:2")
-	for _, p := range []Plan{
-		{Classes: hetero},
-		{Policy: LIFO},
-		{Steal: true},
+	for _, c := range []struct {
+		classes Classes
+		policy  Policy
+		steal   bool
+	}{
+		{hetero, FIFO, false},
+		{Single(2), LIFO, false},
+		{Single(2), FIFO, true},
 	} {
-		if p.Trivial() {
-			t.Errorf("plan %+v reported trivial", p)
+		if err := p.Reset(c.classes, c.policy, c.steal, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !p.Wants() {
+			t.Errorf("%+v: eager pool refused a task with no idle worker", c)
 		}
 	}
 }
@@ -419,35 +444,22 @@ func TestPoolResetReuse(t *testing.T) {
 	if _, it, ok := p.Grant(); !ok || it.ID != 2 {
 		t.Fatalf("grant after reset: %v %v", it, ok)
 	}
-}
-
-// TestIdleHeapRemove: the fault path pulls arbitrary worker indices out
-// of the idle heap; the remaining entries must still pop in ascending
-// order whatever position the victim held.
-func TestIdleHeapRemove(t *testing.T) {
-	for victim := 0; victim < 7; victim++ {
-		var h IdleHeap
-		for _, w := range []int{5, 1, 6, 3, 0, 4, 2} {
-			h.Push(w)
-		}
-		if !h.Remove(victim) {
-			t.Fatalf("Remove(%d) missed a present worker", victim)
-		}
-		if h.Remove(victim) {
-			t.Fatalf("Remove(%d) twice reported present", victim)
-		}
-		for want := 0; want < 7; want++ {
-			if want == victim {
-				continue
-			}
-			if got := h.Pop(); got != want {
-				t.Fatalf("after Remove(%d): popped %d, want %d", victim, got, want)
-			}
-		}
+	// A warm Reset reuses the eligibility rows without allocating, and
+	// no affinity bit of the previous plan survives in them.
+	kinds := []string{"x", "y"}
+	onX, _ := Parse("1xa@x+1xb")
+	onY, _ := Parse("1xa@y+1xb")
+	p.Reset(onX, FIFO, false, kinds, nil)
+	p.Reset(onY, FIFO, false, kinds, nil)
+	if p.eligible(0, 1) || !p.eligible(0, 2) {
+		t.Error("class a kept its old affinity row after Reset")
 	}
-	var empty IdleHeap
-	if empty.Remove(0) {
-		t.Fatal("Remove on an empty heap reported present")
+	p.Reset(Classes{{Name: "a", Count: 1, Mult: 1}, {Name: "b", Count: 1, Mult: 1}}, FIFO, false, kinds, nil)
+	if !p.eligible(0, 1) || !p.eligible(0, 2) {
+		t.Error("class a without affinity cannot run every kind")
+	}
+	if n := testing.AllocsPerRun(10, func() { p.Reset(onY, FIFO, false, kinds, nil) }); n != 0 {
+		t.Errorf("warm Reset allocates %v times", n)
 	}
 }
 

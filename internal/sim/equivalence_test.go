@@ -237,9 +237,9 @@ func TestFastPathEquivalenceKnobs(t *testing.T) {
 		}},
 		{"runahead-unbounded", []string{"case2"}, func(s *sim.Spec) { s.NewQDepth = 2; s.RunAhead = -1 }},
 		// Heterogeneous scheduling layer: worker classes, non-FIFO grant
-		// policies and cross-class stealing all route grants through the
-		// sched.Pool path instead of the legacy lowest-index scan, and the
-		// fast path must still reproduce the per-cycle loop exactly.
+		// policies and cross-class stealing make sched.Pool buffer every
+		// visible ready task instead of one per idle worker, and the fast
+		// path must still reproduce the per-cycle loop exactly.
 		{"hetero", []string{"case4", "case7", "heat"}, func(s *sim.Spec) { s.WorkerClasses = "8xfast+4xslow:2.0" }},
 		{"hetero-affinity-priority", []string{"heat"}, func(s *sim.Spec) {
 			s.WorkerClasses = "6xfast@gs+6xslow:2.0"
@@ -247,6 +247,26 @@ func TestFastPathEquivalenceKnobs(t *testing.T) {
 		}},
 		{"steal-locality", []string{"case4", "heat"}, func(s *sim.Spec) {
 			s.WorkerClasses = "6xa+6xb:1.5"
+			s.Sched = "locality"
+			s.Steal = true
+		}},
+		// The TS LIFO policy crossed with the pool's two buffering rules:
+		// a uniform FIFO plan pulls one ready task per idle worker, so few
+		// workers leave the TS backed up and LIFO picks among the backlog;
+		// every other plan drains the TS into the pool as tasks appear.
+		// The two rules give different schedules here, so these rows
+		// catch a grant path that buffers the wrong way.
+		{"lifo-2workers", []string{"sparselu"}, func(s *sim.Spec) {
+			s.Policy = "lifo"
+			s.Workers = 2
+		}},
+		{"lifo-hetero", []string{"heat"}, func(s *sim.Spec) {
+			s.Policy = "lifo"
+			s.WorkerClasses = "1xfast+1xslow:2.0"
+		}},
+		{"lifo-steal-locality", []string{"sparselu"}, func(s *sim.Spec) {
+			s.Policy = "lifo"
+			s.WorkerClasses = "1xa+2xb:1.5"
 			s.Sched = "locality"
 			s.Steal = true
 		}},

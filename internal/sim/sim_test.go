@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/patterns"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -235,6 +236,24 @@ func TestStreamPriorityRefused(t *testing.T) {
 		spec.Window = 0
 		if _, err := sim.Run(spec); err != nil {
 			t.Errorf("%s materialized: %v", engine, err)
+		}
+	}
+}
+
+// TestStreamedDAGErrorsOnEveryEngine: a windowed JSON dagfile that reads
+// a node already out of the window fails with the typed error on every
+// engine, the whole-graph perfect roofline included, instead of running
+// the prefix of the graph before the bad edge.
+func TestStreamedDAGErrorsOnEveryEngine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "retired.json")
+	graph := `[{"name":"a"},{"name":"b"},{"name":"c"},{"name":"d","after":["a"]}]`
+	if err := os.WriteFile(path, []byte(graph), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{"picos-hw", "picos-comm", "picos-full", "nanos", "perfect"} {
+		spec := sim.Spec{Engine: engine, Workload: "pattern:dagfile?path=" + path, Window: 2}
+		if res, err := sim.Run(spec); !errors.Is(err, patterns.ErrRetiredNode) {
+			t.Errorf("%s: got %v (result %v), want patterns.ErrRetiredNode", engine, err, res != nil)
 		}
 	}
 }

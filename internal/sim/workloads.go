@@ -74,7 +74,11 @@ func BuildWorkload(spec Spec) (*trace.Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		return patterns.Build(p)
+		src, err := patterns.Generate(p, 0)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+		return trace.Materialize(src)
 	}
 	regMu.RLock()
 	fn, ok := workloads[name]

@@ -80,7 +80,11 @@ func analysisInputs(t testing.TB) []*trace.Trace {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := patterns.Build(p)
+		src, err := patterns.Generate(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.Materialize(src)
 		if err != nil {
 			t.Fatal(err)
 		}

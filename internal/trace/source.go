@@ -99,6 +99,11 @@ func Materialize(src Source) (*Trace, error) {
 		}
 		tr.Tasks = append(tr.Tasks, t)
 	}
+	// A source that failed mid-stream ended early: its error, not the
+	// truncated prefix, is the result.
+	if err := SourceErr(src); err != nil {
+		return nil, fmt.Errorf("trace: materialize %s: %w", src.Name(), err)
+	}
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("trace: materialize %s: %w", src.Name(), err)
 	}
