@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// DirtyHorizon enforces the contract of the incremental event-horizon
-// scheduler (internal/picos/horizon.go): the heap's per-unit keys are
-// re-polled lazily, only for units marked dirty, so ANY state change
-// that can move a unit's nextEvent() horizon must mark that unit dirty.
+// DirtyHorizon enforces the contract of the incremental event horizon
+// (internal/picos/horizon.go): the per-unit keys are re-polled lazily,
+// only for units marked dirty, so ANY state change that can move a
+// unit's nextEvent() horizon must mark that unit dirty.
 // A missed markDirty is the nastiest bug class this model has — the
 // horizon key goes stale, the fast path sleeps through a real event, and
 // the divergence surfaces hundreds of thousands of cycles later as a
@@ -17,7 +17,7 @@ import (
 // reference.
 //
 // The analyzer applies to packages named picos. A "unit" is any struct
-// type with an `hid` field (its slot in the horizon heap). The tracked
+// type with an `hid` field (its slot in the horizon keys). The tracked
 // horizon-bearing mutations are:
 //
 //   - push/pop on a unit's registered FIFOs (lowercase push/pop — the
@@ -32,7 +32,7 @@ import (
 // contain markDirty(O.hid), or reach one transitively by calling
 // another method of the same unit that marks its own receiver dirty
 // (the consume() idiom in trs.go/dct.go). Functions named reset,
-// rebuildHorizon, nextEvent, active, markDirty and flushHorizon are
+// rebuildHorizon, nextEvent, active and markDirty are
 // exempt: resets are followed by rebuildHorizon, which re-derives every
 // key from scratch, and the scheduler internals are the mechanism
 // itself. Anything else must carry a //lint:ignore dirtyhorizon with
@@ -64,7 +64,6 @@ var dirtyExemptFuncs = map[string]bool{
 	"nextEvent":      true, // read-only polling surface
 	"active":         true, // read-only
 	"markDirty":      true, // the mechanism
-	"flushHorizon":   true, // the mechanism
 }
 
 // unitMutation is one horizon-bearing mutation found in a function body.

@@ -12,7 +12,7 @@ func (f *fifo) pop() int {
 	return v
 }
 
-// unit is a horizon-managed unit: it has an hid slot in the heap.
+// unit is a horizon-managed unit: it has an hid slot in the horizon.
 type unit struct {
 	hid       int32
 	inQ       fifo

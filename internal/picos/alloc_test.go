@@ -125,7 +125,7 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestRunToSteadyStateAllocFree locks the event-driven path — NextEvent
-// on the incremental horizon heap plus RunTo's skip/step batching — at
+// on the incremental horizon plus RunTo's skip/step batching — at
 // zero steady-state heap allocations.
 func TestRunToSteadyStateAllocFree(t *testing.T) {
 	h := newAllocHarness(t)

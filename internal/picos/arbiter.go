@@ -11,8 +11,13 @@ package picos
 // issue its send first. Messages therefore queue on (visibility stamp,
 // issue order) — a status still inside a DCT's 16-cycle registration
 // pipeline cannot head-of-line block a release or wake that is already
-// on the wire. Per-flow order is preserved: every unit engine emits with
-// non-decreasing stamps, and equal stamps fall back to issue order.
+// on the wire. Engines do not emit in stamp order: one DCT interleaves
+// registration statuses, stamped at the end of its registration
+// pipeline, with release wakes, stamped a pipe after the release but
+// never before the status of the version they wake (the statusAt clamp
+// in dct.go), so even its wakes alone can invert. The order the
+// protocol needs — a status ahead of every wake of its version — is
+// carried by those stamps; equal stamps keep their send order.
 // (The pre-fix strict-FIFO arbiter was the main reason the Table IV
 // case4 chain round trip over-measured: each link's finish and wake
 // packets waited out an unrelated in-flight registration status.)
@@ -21,7 +26,7 @@ type arbiter struct {
 	timing *Timing
 	in     arbHeap
 	routed uint64
-	hid    int32 // horizon-heap slot
+	hid    int32 // horizon slot
 }
 
 func newArbiter(p *Picos) *arbiter {

@@ -40,19 +40,20 @@ type dctUnit struct {
 	parked      newDepPkt
 	parkedSet   int
 	parkedStall stallKind
-	// parkedRetryAt schedules the one retry that a release arriving while
-	// the registration engine was mid-operation could not attempt
-	// immediately: the engine frees at busyUntil, and without surfacing
-	// that cycle as an event the fast path would sleep through a retry
-	// the per-cycle reference loop performs (and that may now succeed).
-	// Zero means no retry is owed; failed retries clear it, because a
-	// retry can only start succeeding after another release.
+	// parkedRetryAt schedules the one retry whose answer changed while
+	// the registration engine was mid-operation: a release may have
+	// freed the parked dependence's set, or a registration took the last
+	// VM entry and turned its DM-set conflict into a VM stall. The engine
+	// frees at busyUntil, and without surfacing that cycle as an event
+	// the fast path would sleep through a retry the per-cycle reference
+	// loop performs (and that may now succeed or charge a different
+	// counter). Zero means no retry is owed; failed retries clear it.
 	parkedRetryAt uint64
 
 	busyUntil    uint64 // registration engine
 	busyUntilFin uint64 // release engine (overlapped in the prototype)
 	busy         uint64
-	hid          int32 // horizon-heap slot
+	hid          int32 // horizon slot
 }
 
 // stallKind labels why a dependence cannot be stored, i.e. which Stats
@@ -119,8 +120,8 @@ func (u *dctUnit) step(now uint64) {
 	// Sidetrack retry port: the parked dependence retries once per cycle
 	// (when the registration engine is free) with priority over the
 	// queue, and charges its stall counter every cycle it stays parked —
-	// exactly what a stalled queue head would have charged. skipTo
-	// batch-accounts the same charge across fast-forwarded stretches.
+	// exactly what a stalled queue head would have charged. chargeStall
+	// makes the same charge for the cycles the fast path skips.
 	if u.hasParked {
 		if u.busyUntil <= now {
 			u.parkedRetryAt = 0
@@ -140,11 +141,7 @@ func (u *dctUnit) step(now uint64) {
 			}
 		}
 		if u.hasParked {
-			if u.parkedStall == stallVMFull {
-				u.p.stats.VMStallCycles++
-			} else {
-				u.p.stats.DMConflictStallCycles++
-			}
+			u.p.stats.chargeStall(u.parkedStall, 1)
 		}
 	}
 	for u.busyUntil <= now {
@@ -158,6 +155,12 @@ func (u *dctUnit) step(now uint64) {
 			u.headStalled = false
 			u.conflictCounted = false
 			u.stall = stallNone
+			if u.hasParked && u.parkedStall == stallDMSet && u.vm.freeCount() == 0 {
+				// This registration took the last VM entry: the parked
+				// retry now fails on the VM, not the set (see
+				// parkedRetryAt).
+				u.parkedRetryAt = u.busyUntil
+			}
 			continue
 		}
 		if kind == stallDMSet && u.sidetracked() && !u.hasParked {
@@ -213,6 +216,17 @@ func (u *dctUnit) step(now uint64) {
 		u.busyUntil = now + 1
 		u.p.noteBusy(u.busyUntil)
 		return
+	}
+}
+
+// chargeStall adds n cycles of the retries the parked dependence and the
+// stalled head re-fail while the DM and VM stay unchanged.
+func (u *dctUnit) chargeStall(n uint64) {
+	if u.hasParked {
+		u.p.stats.chargeStall(u.parkedStall, n)
+	}
+	if u.headStalled {
+		u.p.stats.chargeStall(u.stall, n)
 	}
 }
 
@@ -430,12 +444,12 @@ func (u *dctUnit) completeVersion(idx uint16, at uint64) {
 }
 
 // nextEvent returns the earliest cycle at which the DCT can make
-// progress on its own: a release on the finish engine or a registration
-// on the new-dependence engine. A stalled head and a parked sidetrack
-// dependence are excluded — their retries cannot succeed until a release
-// (an event in its own right) frees space, and the stall cycles they
-// would burn in between are batch-accounted by Picos.skipTo using the
-// recorded stall kinds.
+// progress on its own: a release on the finish engine, a registration
+// on the new-dependence engine, or an owed parked retry. A stalled head
+// and a parked sidetrack dependence are otherwise excluded — their
+// retries cannot succeed until a release (an event in its own right)
+// frees space, and the stall cycles they would burn in between are
+// charged by chargeStall using the recorded stall kinds.
 func (u *dctUnit) nextEvent() (uint64, bool) {
 	next, ok := uint64(0), false
 	if at, qok := u.finQ.headAt(); qok {

@@ -1,6 +1,7 @@
 package picos
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -34,42 +35,162 @@ func submitAll(t *testing.T, p *Picos, tasks []trace.Task) {
 	}
 }
 
-// TestRunToMatchesStep: advancing with RunTo must leave the model in the
-// same externally observable state as stepping every cycle — same
-// statistics, clock, in-flight count and ready set — at a range of
-// intermediate horizons.
+// holdTasks returns n tasks, each writing deps fresh addresses of its own.
+func holdTasks(n, deps int) []trace.Task {
+	tasks := make([]trace.Task, n)
+	for i := range tasks {
+		tasks[i].ID = uint32(i)
+		for k := 0; k < deps; k++ {
+			tasks[i].Deps = append(tasks[i].Deps, trace.Dep{Addr: 0x10000 + uint64(i*deps+k)<<2, Dir: trace.Out})
+		}
+	}
+	return tasks
+}
+
+// lastVMTasks fills set 0 of the direct-hash DM with A1..A8 and the VM
+// up to its last entry, then submits one task whose A9 parks on the full
+// set while its A1 takes that last entry: the parked dependence's next
+// retry fails on the VM instead of the set, which turns its per-cycle
+// stall counter from DM-conflict to VM-stall cycles.
+func lastVMTasks() []trace.Task {
+	addr := func(k int) uint64 { return uint64(k) << 8 } // every k maps to set 0
+	write := func(ks ...int) []trace.Dep {
+		deps := make([]trace.Dep, len(ks))
+		for i, k := range ks {
+			deps[i] = trace.Dep{Addr: addr(k), Dir: trace.Out}
+		}
+		return deps
+	}
+	var tasks []trace.Task
+	for i := 0; i < 63; i++ {
+		tasks = append(tasks, trace.Task{ID: uint32(len(tasks)), Deps: write(1, 2, 3, 4, 5, 6, 7, 8)})
+	}
+	tasks = append(tasks, trace.Task{ID: uint32(len(tasks)), Deps: write(1, 2, 3, 4, 5, 6, 7)})
+	return append(tasks, trace.Task{ID: uint32(len(tasks)), Deps: write(9, 1)})
+}
+
+// pop is one PopReady call made by driveTo.
+type pop struct {
+	at uint64
+	id uint32
+}
+
+// driveTo submits tasks and advances p to horizon. With hold > 0 it pops
+// every ready task at the first cycle it is poppable and notifies its
+// finish hold cycles later; with hold == 0 ready tasks stay in the TS.
+// fast selects the event-driven loop (RunTo, or RunToReady when tasks
+// are popped) over stepping every cycle; both perform the same external
+// calls at the same cycles.
+func driveTo(t *testing.T, p *Picos, tasks []trace.Task, hold, horizon uint64, fast bool) []pop {
+	t.Helper()
+	submitAll(t, p, tasks)
+	type run struct {
+		until uint64
+		h     TaskHandle
+	}
+	var pops []pop
+	var running []run // in finish order: every task runs hold cycles
+	for p.Now() < horizon {
+		now := p.Now()
+		for len(running) > 0 && running[0].until <= now {
+			p.NotifyFinish(running[0].h)
+			running = running[1:]
+		}
+		for hold > 0 {
+			rt, ok := p.PopReady()
+			if !ok {
+				break
+			}
+			pops = append(pops, pop{at: now, id: rt.ID})
+			running = append(running, run{until: now + hold, h: rt.Handle})
+		}
+		switch {
+		case !fast:
+			p.Step()
+		case hold == 0:
+			p.RunTo(horizon)
+		default:
+			next := horizon
+			if len(running) > 0 {
+				next = min(next, running[0].until)
+			}
+			if at, ok := p.ReadyAt(); ok {
+				next = min(next, max(at, now+1))
+			}
+			if p.RunToReady(next); p.Now() == now {
+				p.RunTo(next) // no internal event before next: leap to it
+			}
+		}
+	}
+	return pops
+}
+
+// TestRunToMatchesStep: advancing with the event-driven loop must leave
+// the model in the same externally observable state as stepping every
+// cycle — same statistics, clock, in-flight count, ready set and pop
+// schedule — at a range of horizons. The held rows keep the GW blocked
+// on TM slots or VM credits and the DCT stalled on a full DM set or VM,
+// so they pin every signal that lets a blocked unit retry.
 func TestRunToMatchesStep(t *testing.T) {
-	tasks := fastpathTasks()
-	for _, horizon := range []uint64{1, 7, 64, 300, 1000, 5000} {
-		a, err := New(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := New(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		submitAll(t, a, tasks)
-		submitAll(t, b, tasks)
-		for a.Now() < horizon {
-			a.Step()
-		}
-		b.RunTo(horizon)
-		if a.Now() != b.Now() {
-			t.Fatalf("horizon %d: clocks diverge: %d vs %d", horizon, a.Now(), b.Now())
-		}
-		if *a.Stats() != *b.Stats() {
-			t.Fatalf("horizon %d: stats diverge:\nstep:  %+v\nrunto: %+v", horizon, *a.Stats(), *b.Stats())
-		}
-		if a.InFlight() != b.InFlight() || a.ReadyCount() != b.ReadyCount() {
-			t.Fatalf("horizon %d: occupancy diverges: inflight %d/%d ready %d/%d",
-				horizon, a.InFlight(), b.InFlight(), a.ReadyCount(), b.ReadyCount())
-		}
-		ra, aok := a.ReadyAt()
-		rb, bok := b.ReadyAt()
-		if aok != bok || ra != rb {
-			t.Fatalf("horizon %d: ReadyAt diverges: %d,%v vs %d,%v", horizon, ra, aok, rb, bok)
-		}
+	credits := DefaultConfig()
+	credits.VMReserve = 400 // 112 credits: admission runs out of credits before TM slots
+	lastVM := DefaultConfig()
+	lastVM.Design = DM8Way
+	lastVM.Admission = AdmitSlotsOnly
+	slots := DefaultConfig()
+	slots.Admission = AdmitSlotsOnly
+	gwBlocked := func(s Stats) uint64 { return s.GWBlockedCycles }
+	vmStalled := func(s Stats) uint64 { return s.VMStallCycles }
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		tasks    []trace.Task
+		hold     uint64
+		horizons []uint64
+		stall    func(Stats) uint64 // the counter the row pins, nonzero by the last horizon
+	}{
+		{"mixed", Config{}, fastpathTasks(), 0, []uint64{1, 7, 64, 300, 1000, 5000}, nil},
+		{"gw-slots", slots, holdTasks(600, 0), 20_000, []uint64{30_000, 100_000}, gwBlocked},
+		{"gw-credits", credits, holdTasks(600, 1), 20_000, []uint64{30_000, 150_000}, gwBlocked},
+		{"dct-last-vm", lastVM, lastVMTasks(), 0, []uint64{2_000, 10_000}, vmStalled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var last Stats
+			for _, horizon := range tc.horizons {
+				a, err := New(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := New(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				popsA := driveTo(t, a, tc.tasks, tc.hold, horizon, false)
+				popsB := driveTo(t, b, tc.tasks, tc.hold, horizon, true)
+				if a.Now() != b.Now() {
+					t.Fatalf("horizon %d: clocks diverge: %d vs %d", horizon, a.Now(), b.Now())
+				}
+				if *a.Stats() != *b.Stats() {
+					t.Fatalf("horizon %d: stats diverge:\nstep:  %+v\nrunto: %+v", horizon, *a.Stats(), *b.Stats())
+				}
+				if a.InFlight() != b.InFlight() || a.ReadyCount() != b.ReadyCount() {
+					t.Fatalf("horizon %d: occupancy diverges: inflight %d/%d ready %d/%d",
+						horizon, a.InFlight(), b.InFlight(), a.ReadyCount(), b.ReadyCount())
+				}
+				ra, aok := a.ReadyAt()
+				rb, bok := b.ReadyAt()
+				if aok != bok || ra != rb {
+					t.Fatalf("horizon %d: ReadyAt diverges: %d,%v vs %d,%v", horizon, ra, aok, rb, bok)
+				}
+				if !slices.Equal(popsA, popsB) {
+					t.Fatalf("horizon %d: pop schedules diverge (%d vs %d pops)", horizon, len(popsA), len(popsB))
+				}
+				last = *a.Stats()
+			}
+			if tc.stall != nil && tc.stall(last) == 0 {
+				t.Fatalf("the row never stalls, so it pins no retry signal: %+v", last)
+			}
+		})
 	}
 }
 

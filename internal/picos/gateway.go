@@ -38,7 +38,13 @@ type gateway struct {
 	blocked      bool   // admission-blocked on the head of newQ
 	blockedAt    uint64 // cycle the current blocked stretch began
 	need         []int  // admit scratch: per-DCT credit demand
-	hid          int32  // horizon-heap slot
+	hid          int32  // horizon slot
+
+	// retry records that a credit came back or a TM slot was freed since
+	// the last admission attempt: only those can turn a refusal into an
+	// admission, so the fast path re-runs a blocked head's admission
+	// only while it is set.
+	retry bool
 }
 
 func newGateway(p *Picos) *gateway {
@@ -73,12 +79,23 @@ func (g *gateway) reset() {
 	g.finQ.reset()
 	g.rrTRS = 0
 	g.busyUntil, g.busyUntilFin, g.busy = 0, 0, 0
-	g.blocked = false
+	g.blocked, g.retry = false, false
 	g.blockedAt = 0
 }
 
 // returnCredit is called by a DCT when it has processed one release.
-func (g *gateway) returnCredit(dct uint8) { g.vmCredits[dct]++ }
+func (g *gateway) returnCredit(dct uint8) {
+	g.vmCredits[dct]++
+	g.retry = true
+}
+
+// chargeStall adds n cycles of the admission retries a blocked head
+// re-fails while nothing it waits on changes.
+func (g *gateway) chargeStall(n uint64) {
+	if g.blocked {
+		g.p.stats.GWBlockedCycles += n
+	}
+}
 
 func (g *gateway) step(now uint64) {
 	p := g.p
@@ -116,6 +133,7 @@ func (g *gateway) step(now uint64) {
 			p.markDirty(g.hid)
 			continue
 		}
+		g.retry = false
 		trsID, slot, admitted := g.admit(t.deps)
 		if !admitted {
 			if !g.blocked {
@@ -236,7 +254,7 @@ func (g *gateway) admit(deps []trace.Dep) (uint8, uint16, bool) {
 // on its own: drain a finished task or take the head of the new-task
 // queue. A blocked head is excluded — only an external finish (arriving
 // through some other unit's event) can unblock it, and the per-cycle
-// retries it would burn in between are batch-accounted by Picos.skipTo.
+// retries it would burn in between are charged by chargeStall.
 func (g *gateway) nextEvent() (uint64, bool) {
 	next, ok := uint64(0), false
 	if at, qok := g.finQ.headAt(); qok {

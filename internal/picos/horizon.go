@@ -1,21 +1,21 @@
 package picos
 
-// The incremental event-horizon scheduler. Every unit (gateway, TRSs,
-// DCTs, TS, arbiter) owns a slot in an indexed min-heap keyed by its
-// nextEvent() horizon — the earliest cycle it can make progress on its
-// own. Units re-enter the heap lazily: any state change that can move a
-// horizon (a queue push, a pop, a busy-timer update, a blocked/stalled
-// transition) marks the unit dirty, and the next NextEvent/Idle call
-// re-polls just the dirty units before reading the heap top. Planning a
-// wake is therefore O(dirty · log units) instead of a full rescan of
-// every queue head in the machine — the difference between the software
-// model and the hardware it models doing O(1) bookkeeping per event.
+// The incremental event horizon. Every unit (gateway, TRSs, DCTs, TS,
+// arbiter) owns a slot in a flat key array holding its nextEvent()
+// horizon — the earliest cycle it can make progress on its own. Keys are
+// refreshed lazily: any state change that can move a horizon (a queue
+// push, a pop, a busy-timer update, a blocked/stalled transition) marks
+// the unit dirty, and the next NextEvent/Idle call re-polls just the
+// dirty units before scanning the keys for the minimum. The machine has
+// 3 + NumTRS + NumDCT units (5 in the paper's build), so a linear scan
+// of the keys is cheaper than keeping them in a heap: planning a wake
+// costs one nextEvent() per dirty unit plus one pass over a few words.
 //
-// Idle() rides the same structure: "no unit can ever act again" is
-// exactly "the heap top has no horizon", and "some unit is mid-
-// operation" is tracked by maxBusy, the high-water mark over every busy
-// timer (monotonic, because timers are always set to now+cost and the
-// clock never rewinds).
+// Idle() rides the same keys: "no unit can ever act again" is exactly
+// "no key holds a horizon", and "some unit is mid-operation" is tracked
+// by maxBusy, the high-water mark over every busy timer (monotonic,
+// because timers are always set to now+cost and the clock never
+// rewinds).
 
 // horizonUnit is the per-unit polling surface of the scheduler.
 type horizonUnit interface {
@@ -25,12 +25,11 @@ type horizonUnit interface {
 	nextEvent() (uint64, bool)
 }
 
-// noEvent is the heap key of a unit with no self-driven future event.
+// noEvent is the key of a unit with no self-driven future event.
 const noEvent = ^uint64(0)
 
-// rebuildHorizon (re)derives the heap from the current unit set: all
-// queues are empty at build/Reset time, so every key starts at noEvent
-// and the identity ordering is a valid heap.
+// rebuildHorizon (re)derives the keys from the current unit set: all
+// queues are empty at build/Reset time, so every key starts at noEvent.
 func (p *Picos) rebuildHorizon() {
 	p.units = p.units[:0]
 	add := func(u horizonUnit) int32 {
@@ -51,20 +50,14 @@ func (p *Picos) rebuildHorizon() {
 	n := len(p.units)
 	if cap(p.hkey) < n {
 		p.hkey = make([]uint64, n)
-		p.hpos = make([]int32, n)
-		p.hheap = make([]int32, n)
 		p.hdirty = make([]bool, n)
 		p.hdlist = make([]int32, 0, n)
 	} else {
 		p.hkey = p.hkey[:n]
-		p.hpos = p.hpos[:n]
-		p.hheap = p.hheap[:n]
 		p.hdirty = p.hdirty[:n]
 	}
 	for i := 0; i < n; i++ {
 		p.hkey[i] = noEvent
-		p.hpos[i] = int32(i)
-		p.hheap[i] = int32(i)
 		p.hdirty[i] = false
 	}
 	p.hdlist = p.hdlist[:0]
@@ -90,79 +83,23 @@ func (p *Picos) noteBusy(until uint64) {
 	}
 }
 
-// flushHorizon re-polls every dirty unit and restores the heap order.
+// horizon re-polls every dirty unit and returns the earliest key, or
+// noEvent when no unit has a self-driven future event.
 //
 //picos:hotpath
-func (p *Picos) flushHorizon() {
-	if len(p.hdlist) == 0 {
-		return
-	}
+func (p *Picos) horizon() uint64 {
 	for _, id := range p.hdlist {
 		p.hdirty[id] = false
 		key := noEvent
 		if at, ok := p.units[id].nextEvent(); ok {
 			key = at
 		}
-		if key != p.hkey[id] {
-			p.hkey[id] = key
-			p.hfix(id)
-		}
+		p.hkey[id] = key
 	}
 	p.hdlist = p.hdlist[:0]
-}
-
-// hfix restores the heap invariant around a unit whose key changed.
-//
-//picos:hotpath
-func (p *Picos) hfix(id int32) {
-	if !p.hsiftUp(p.hpos[id]) {
-		p.hsiftDown(p.hpos[id])
+	earliest := noEvent
+	for _, key := range p.hkey {
+		earliest = min(earliest, key)
 	}
-}
-
-// hsiftUp moves the element at heap position i toward the root; it
-// reports whether the element moved.
-//
-//picos:hotpath
-func (p *Picos) hsiftUp(i int32) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if p.hkey[p.hheap[i]] >= p.hkey[p.hheap[parent]] {
-			break
-		}
-		p.hswap(i, parent)
-		i = parent
-		moved = true
-	}
-	return moved
-}
-
-// hsiftDown moves the element at heap position i toward the leaves.
-//
-//picos:hotpath
-func (p *Picos) hsiftDown(i int32) {
-	n := int32(len(p.hheap))
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && p.hkey[p.hheap[right]] < p.hkey[p.hheap[left]] {
-			least = right
-		}
-		if p.hkey[p.hheap[i]] <= p.hkey[p.hheap[least]] {
-			return
-		}
-		p.hswap(i, least)
-		i = least
-	}
-}
-
-//picos:hotpath
-func (p *Picos) hswap(i, j int32) {
-	p.hheap[i], p.hheap[j] = p.hheap[j], p.hheap[i]
-	p.hpos[p.hheap[i]] = i
-	p.hpos[p.hheap[j]] = j
+	return earliest
 }

@@ -193,14 +193,11 @@ type Picos struct {
 	arb *arbiter
 	ts  *tsUnit
 
-	// Incremental event-horizon scheduler state (see horizon.go): the
-	// per-unit horizon keys, the indexed min-heap over them, the
-	// dirty-unit set awaiting a re-poll, and the busy-timer high-water
-	// mark that makes Idle() O(1).
+	// Incremental event-horizon state (see horizon.go): the per-unit
+	// horizon keys, the dirty-unit set awaiting a re-poll, and the
+	// busy-timer high-water mark that lets Idle() skip every queue scan.
 	units   []horizonUnit
 	hkey    []uint64
-	hpos    []int32
-	hheap   []int32
 	hdirty  []bool
 	hdlist  []int32
 	maxBusy uint64
@@ -280,7 +277,7 @@ func New(cfg Config) (*Picos, error) {
 
 // Reset returns the accelerator to the state a fresh New(cfg) would
 // produce while keeping every allocation it can: task/version/dependence
-// memories, queue buffers and the horizon heap are scrubbed in place and
+// memories, queue buffers and the horizon keys are scrubbed in place and
 // only reallocated when cfg changes their shape (instance counts, DM
 // associativity). A Reset accelerator is indistinguishable from a fresh
 // one — including after a wedged run that left queues and memories
@@ -347,7 +344,7 @@ func (p *Picos) Now() uint64 { return p.now }
 // truth the event-driven fast path is differentially tested against.
 // Unit evaluation order is irrelevant because every channel is a
 // registered FIFO. (The fast path advances with stepDue instead, which
-// skips units the horizon heap proves cannot act; the two are
+// skips units the horizon keys prove cannot act; the two are
 // equivalent by construction and by the equivalence suite.)
 //
 //picos:hotpath
@@ -366,20 +363,27 @@ func (p *Picos) Step() {
 }
 
 // stepDue advances the model by one cycle like Step, but only evaluates
-// units that can possibly act: the horizon key says the unit is due, it
-// is dirty (its key may be stale, so stepping is the conservative
+// units that can possibly act: the horizon key says the unit is due, or
+// it is dirty (its key may be stale, so stepping is the conservative
 // choice; an early-stamped queue can never make a unit act before the
 // head's visibility cycle, so a skipped unit's step is provably a
-// no-op), or it is an admission-blocked GW / stalled DCT head whose
-// per-cycle retry must run for exact stall accounting — and can succeed
-// within this very cycle when another unit's release frees resources.
+// no-op). A blocked GW is also stepped when gw.retry says a credit came
+// back or a TM slot was freed earlier in this cycle (DCTs and TRSs step
+// before the GW). Any other retry of a blocked GW, or of a stalled or
+// parked DCT dependence, would re-fail with the answer it gave last — a
+// DCT's answer changes only with its own DM and VM, at its own release
+// events or at a retry a registration owes through parkedRetryAt — so
+// stepDue charges the cycle's stall counters without running the unit,
+// exactly as skipTo does.
 //
 //picos:hotpath
 func (p *Picos) stepDue() {
 	now := p.now
 	for _, d := range p.dct {
-		if d.headStalled || d.hasParked || p.hkey[d.hid] <= now || p.hdirty[d.hid] {
+		if p.hkey[d.hid] <= now || p.hdirty[d.hid] {
 			d.step(now)
+		} else {
+			d.chargeStall(1)
 		}
 	}
 	for _, t := range p.trs {
@@ -393,8 +397,10 @@ func (p *Picos) stepDue() {
 	if p.hkey[p.arb.hid] <= now || p.hdirty[p.arb.hid] {
 		p.arb.step(now)
 	}
-	if p.gw.blocked || p.hkey[p.gw.hid] <= now || p.hdirty[p.gw.hid] {
-		p.gw.step(now)
+	if g := p.gw; g.blocked && g.retry || p.hkey[g.hid] <= now || p.hdirty[g.hid] {
+		g.step(now)
+	} else {
+		g.chargeStall(1)
 	}
 	p.now++
 }
@@ -407,14 +413,12 @@ func (p *Picos) stepDue() {
 // Submit/NotifyFinish (admission-blocked and conflict-stalled heads do
 // not count: their per-cycle retries provably re-fail until an external
 // finish frees resources, and skipping them is what the fast path is
-// for). The answer comes from the incremental horizon heap: only units
-// whose state changed since the last call are re-polled, so planning a
-// wake is O(dirty · log units), not a rescan of every queue head.
+// for). Only units whose state changed since the last call are
+// re-polled; the answer is a linear scan of the per-unit keys.
 //
 //picos:hotpath
 func (p *Picos) NextEvent() (uint64, bool) {
-	p.flushHorizon()
-	at := p.hkey[p.hheap[0]]
+	at := p.horizon()
 	if at == noEvent {
 		return 0, false
 	}
@@ -506,9 +510,9 @@ func (p *Picos) RunOut() {
 // skipTo advances the clock across a stretch where no unit can make
 // progress, charging the stall counters that cycle-by-cycle stepping
 // would have charged: a blocked GW retries (and re-fails) admission
-// every cycle, and a stalled DCT head retries (and re-fails) its store
-// every cycle. Both retries are state-idempotent, so only the counters
-// need accounting.
+// every cycle, and a stalled DCT head or parked dependence retries (and
+// re-fails) its store every cycle. The retries are state-idempotent, so
+// only the counters need accounting.
 //
 //picos:hotpath
 func (p *Picos) skipTo(cycle uint64) {
@@ -516,29 +520,9 @@ func (p *Picos) skipTo(cycle uint64) {
 		return
 	}
 	delta := cycle - p.now
-	if p.gw.blocked {
-		p.stats.GWBlockedCycles += delta
-	}
+	p.gw.chargeStall(delta)
 	for _, d := range p.dct {
-		if d.hasParked {
-			// The parked retry provably re-fails every skipped cycle (a
-			// release would be an event, ending the skip), charging the
-			// same per-cycle stall its in-queue wait would have.
-			if d.parkedStall == stallVMFull {
-				p.stats.VMStallCycles += delta
-			} else {
-				p.stats.DMConflictStallCycles += delta
-			}
-		}
-		if !d.headStalled {
-			continue
-		}
-		switch d.stall {
-		case stallVMFull:
-			p.stats.VMStallCycles += delta
-		case stallDMSet:
-			p.stats.DMConflictStallCycles += delta
-		}
+		d.chargeStall(delta)
 	}
 	p.now = cycle
 }
@@ -674,15 +658,14 @@ func (p *Picos) InFlight() int {
 // Idle reports that stepping without external input cannot change state:
 // every unit is quiescent and every queue is empty, except for
 // admission-blocked or conflict-stalled heads that only an external
-// finish can release. The check is O(1) on the horizon heap: a unit is
+// finish can release. The check reads the horizon keys: a unit is
 // active exactly when it has a future event or a running busy timer, so
 // "no horizon anywhere and the clock has passed every busy deadline" is
 // the whole condition.
 //
 //picos:hotpath
 func (p *Picos) Idle() bool {
-	p.flushHorizon()
-	return p.hkey[p.hheap[0]] == noEvent && p.maxBusy <= p.now
+	return p.horizon() == noEvent && p.maxBusy <= p.now
 }
 
 // Stats returns the run counters.

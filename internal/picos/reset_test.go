@@ -100,7 +100,7 @@ func sameRun(t *testing.T, label string, fresh, reused *runResult) {
 
 // resetConfigs is the cross-shape matrix Reset must handle: same config,
 // policy flip, design change (different VM capacity and DM ways), a
-// multi-unit future architecture (different unit and heap shapes), and
+// multi-unit future architecture (different unit and horizon shapes), and
 // sharded fabrics whose per-shard DM/VM partitions grow and shrink with
 // the shard count (8 shards of 8 sets back to one shard of 64, and a
 // shard-count change combined with a ways change).

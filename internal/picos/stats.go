@@ -32,6 +32,17 @@ type Stats struct {
 	ProtocolErrors uint64
 }
 
+// chargeStall adds n cycles to the counter a failed store of kind k
+// feeds.
+func (s *Stats) chargeStall(k stallKind, n uint64) {
+	switch k {
+	case stallVMFull:
+		s.VMStallCycles += n
+	case stallDMSet:
+		s.DMConflictStallCycles += n
+	}
+}
+
 // BusyCycles reports per-unit busy-cycle counters, for utilization
 // analysis and the bottleneck discussion of Section V-C.
 type BusyCycles struct {

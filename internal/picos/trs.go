@@ -17,7 +17,7 @@ type trsUnit struct {
 
 	busyUntil uint64
 	busy      uint64 // accumulated busy cycles (stats)
-	hid       int32  // horizon-heap slot
+	hid       int32  // horizon slot
 }
 
 func newTRS(id uint8, p *Picos) *trsUnit {
@@ -176,6 +176,7 @@ func (u *trsUnit) handleFinishedTask(pkt finishedTaskPkt, now uint64) {
 	// still references this handle belongs to packets already ordered
 	// ahead of any reuse).
 	u.tm.release(pkt.slot)
+	u.p.gw.retry = true // the freed slot may admit a blocked head
 	u.p.stats.TasksCompleted++
 }
 

@@ -36,7 +36,7 @@ type tsUnit struct {
 
 	busyUntil uint64
 	busy      uint64
-	hid       int32 // horizon-heap slot
+	hid       int32 // horizon slot
 }
 
 func newTS(p *Picos) *tsUnit {

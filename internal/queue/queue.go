@@ -1,30 +1,18 @@
 // Package queue provides small, allocation-friendly FIFO and LIFO
 // containers used throughout the simulator: hardware FIFOs between Picos
 // units, ready-task queues in the Task Scheduler, and event queues in the
-// software-runtime model.
+// software-runtime model. Both are unbounded; a bounded hardware buffer
+// is modelled by its owner (picos.Config.NewQDepth bounds the GW
+// new-task queue).
 package queue
 
 // FIFO is a growable ring-buffer queue. The zero value is ready to use.
-// If a capacity limit is set, Push reports failure once Len() == limit,
-// which is how hardware backpressure is modelled.
+// The ring length is always a power of two, so wrapping is a mask.
 type FIFO[T any] struct {
-	buf   []T
-	head  int
-	size  int
-	limit int // 0 means unbounded
+	buf  []T
+	head int
+	size int
 }
-
-// NewFIFO returns a FIFO with the given capacity limit. limit <= 0 means
-// unbounded.
-func NewFIFO[T any](limit int) *FIFO[T] {
-	if limit < 0 {
-		limit = 0
-	}
-	return &FIFO[T]{limit: limit}
-}
-
-// Limit returns the capacity limit (0 = unbounded).
-func (q *FIFO[T]) Limit() int { return q.limit }
 
 // Len returns the number of queued elements.
 func (q *FIFO[T]) Len() int { return q.size }
@@ -32,21 +20,13 @@ func (q *FIFO[T]) Len() int { return q.size }
 // Empty reports whether the queue holds no elements.
 func (q *FIFO[T]) Empty() bool { return q.size == 0 }
 
-// Full reports whether the queue is at its capacity limit.
-func (q *FIFO[T]) Full() bool { return q.limit > 0 && q.size == q.limit }
-
-// Push appends v and reports whether it was accepted. It fails only when
-// the queue is Full.
-func (q *FIFO[T]) Push(v T) bool {
-	if q.Full() {
-		return false
-	}
+// Push appends v.
+func (q *FIFO[T]) Push(v T) {
 	if q.size == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = v
+	q.buf[(q.head+q.size)&(len(q.buf)-1)] = v
 	q.size++
-	return true
 }
 
 // Pop removes and returns the oldest element. ok is false when empty.
@@ -57,7 +37,7 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 	v = q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero // avoid retaining references
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.size--
 	return v, true
 }
@@ -78,29 +58,20 @@ func (q *FIFO[T]) Tail() (*T, bool) {
 	if q.size == 0 {
 		return nil, false
 	}
-	return &q.buf[(q.head+q.size-1)%len(q.buf)], true
+	return &q.buf[(q.head+q.size-1)&(len(q.buf)-1)], true
 }
 
 // Reset drops all elements but keeps the backing storage.
 func (q *FIFO[T]) Reset() {
-	var zero T
-	for i := range q.buf {
-		q.buf[i] = zero
-	}
+	clear(q.buf)
 	q.head, q.size = 0, 0
 }
 
 func (q *FIFO[T]) grow() {
-	n := len(q.buf) * 2
-	if n == 0 {
-		n = 8
-	}
-	if q.limit > 0 && n > q.limit {
-		n = q.limit
-	}
+	n := max(2*len(q.buf), 8)
 	nb := make([]T, n)
 	for i := 0; i < q.size; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
+		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
 	q.buf = nb
 	q.head = 0
@@ -109,16 +80,7 @@ func (q *FIFO[T]) grow() {
 // Stack is a LIFO used by the Task Scheduler's alternative policy
 // (Figure 9 of the paper). The zero value is ready to use.
 type Stack[T any] struct {
-	buf   []T
-	limit int
-}
-
-// NewStack returns a Stack with the given capacity limit (<=0: unbounded).
-func NewStack[T any](limit int) *Stack[T] {
-	if limit < 0 {
-		limit = 0
-	}
-	return &Stack[T]{limit: limit}
+	buf []T
 }
 
 // Len returns the number of stacked elements.
@@ -127,17 +89,8 @@ func (s *Stack[T]) Len() int { return len(s.buf) }
 // Empty reports whether the stack holds no elements.
 func (s *Stack[T]) Empty() bool { return len(s.buf) == 0 }
 
-// Full reports whether the stack is at its capacity limit.
-func (s *Stack[T]) Full() bool { return s.limit > 0 && len(s.buf) == s.limit }
-
-// Push adds v and reports whether it was accepted.
-func (s *Stack[T]) Push(v T) bool {
-	if s.Full() {
-		return false
-	}
-	s.buf = append(s.buf, v)
-	return true
-}
+// Push adds v.
+func (s *Stack[T]) Push(v T) { s.buf = append(s.buf, v) }
 
 // Pop removes and returns the most recently pushed element.
 func (s *Stack[T]) Pop() (v T, ok bool) {
@@ -161,9 +114,6 @@ func (s *Stack[T]) Peek() (v T, ok bool) {
 
 // Reset drops all elements but keeps the backing storage.
 func (s *Stack[T]) Reset() {
-	var zero T
-	for i := range s.buf {
-		s.buf[i] = zero
-	}
+	clear(s.buf)
 	s.buf = s.buf[:0]
 }

@@ -6,14 +6,12 @@ import (
 )
 
 func TestFIFOBasic(t *testing.T) {
-	q := NewFIFO[int](0)
+	var q FIFO[int]
 	if !q.Empty() || q.Len() != 0 {
 		t.Fatal("new FIFO not empty")
 	}
 	for i := 0; i < 100; i++ {
-		if !q.Push(i) {
-			t.Fatalf("push %d rejected", i)
-		}
+		q.Push(i)
 	}
 	if q.Len() != 100 {
 		t.Fatalf("len = %d, want 100", q.Len())
@@ -29,29 +27,8 @@ func TestFIFOBasic(t *testing.T) {
 	}
 }
 
-func TestFIFOLimit(t *testing.T) {
-	q := NewFIFO[int](3)
-	for i := 0; i < 3; i++ {
-		if !q.Push(i) {
-			t.Fatalf("push %d rejected before limit", i)
-		}
-	}
-	if !q.Full() {
-		t.Fatal("queue should be full at limit")
-	}
-	if q.Push(99) {
-		t.Fatal("push accepted past limit")
-	}
-	if v, _ := q.Pop(); v != 0 {
-		t.Fatalf("pop = %d, want 0", v)
-	}
-	if !q.Push(3) {
-		t.Fatal("push rejected after pop freed space")
-	}
-}
-
 func TestFIFOPeekReset(t *testing.T) {
-	q := NewFIFO[string](0)
+	var q FIFO[string]
 	if _, ok := q.Peek(); ok {
 		t.Fatal("peek on empty succeeded")
 	}
@@ -67,16 +44,14 @@ func TestFIFOPeekReset(t *testing.T) {
 	if !q.Empty() {
 		t.Fatal("reset did not empty queue")
 	}
-	if !q.Push("c") {
-		t.Fatal("push after reset failed")
-	}
+	q.Push("c")
 	if v, _ := q.Pop(); v != "c" {
 		t.Fatal("wrong element after reset")
 	}
 }
 
 func TestFIFOWrapAround(t *testing.T) {
-	q := NewFIFO[int](0)
+	var q FIFO[int]
 	// Interleave pushes and pops to force the head to wrap repeatedly.
 	next, expect := 0, 0
 	for round := 0; round < 50; round++ {
@@ -108,7 +83,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 	// Property: for any sequence of pushed values, pops return the same
 	// sequence (FIFO order is preserved across growth).
 	f := func(vals []uint16) bool {
-		q := NewFIFO[uint16](0)
+		var q FIFO[uint16]
 		for _, v := range vals {
 			q.Push(v)
 		}
@@ -127,7 +102,7 @@ func TestFIFOOrderProperty(t *testing.T) {
 }
 
 func TestStackBasic(t *testing.T) {
-	s := NewStack[int](0)
+	var s Stack[int]
 	for i := 0; i < 10; i++ {
 		s.Push(i)
 	}
@@ -142,13 +117,10 @@ func TestStackBasic(t *testing.T) {
 	}
 }
 
-func TestStackLimitPeek(t *testing.T) {
-	s := NewStack[int](2)
+func TestStackPeekReset(t *testing.T) {
+	var s Stack[int]
 	s.Push(1)
 	s.Push(2)
-	if s.Push(3) {
-		t.Fatal("push past limit accepted")
-	}
 	if v, ok := s.Peek(); !ok || v != 2 {
 		t.Fatalf("peek = %d,%v", v, ok)
 	}
@@ -160,7 +132,7 @@ func TestStackLimitPeek(t *testing.T) {
 
 func TestStackOrderProperty(t *testing.T) {
 	f := func(vals []int8) bool {
-		s := NewStack[int8](0)
+		var s Stack[int8]
 		for _, v := range vals {
 			s.Push(v)
 		}
