@@ -8,6 +8,7 @@ import (
 	"repro/internal/picos"
 	"repro/internal/queue"
 	"repro/internal/sched"
+	"repro/internal/table"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
 )
@@ -69,14 +70,14 @@ type runner struct {
 	// hands over ts, the adapter over its materialized trace, and an
 	// unbounded window. mat is the trace behind a materialized source,
 	// indexed in place; a streamed source keeps its live descriptors in
-	// the live map instead. At most window descriptors are live at once
+	// the live table instead. At most window descriptors are live at once
 	// (0: unbounded).
 	src    trace.Source
 	ts     trace.TraceSource
 	mat    *trace.Trace
 	window int
 	kinds  []string // src.Kinds()
-	live   map[uint32]trace.Task
+	live   table.Map[trace.Task]
 	// fetched counts committed descriptors (the next task's required
 	// ID); lookahead holds a peeked-but-uncommitted streamed task;
 	// feedErr parks a mid-stream validation or source error for the run
@@ -200,7 +201,7 @@ func (r *runner) drive(src trace.Source, whole *trace.Trace, cfg Config) (*Resul
 
 // reset prepares the runner for a run, reusing every allocation a
 // previous run left behind: the accelerator (picos.Reset), the worker
-// heaps, the link queues, the in-flight buffers and the live map. Only
+// heaps, the link queues, the in-flight buffers and the live table. Only
 // the per-task schedule arrays are freshly allocated — they escape into
 // the Result.
 func (r *runner) reset(src trace.Source, whole *trace.Trace, cfg Config) error {
@@ -241,8 +242,6 @@ func (r *runner) reset(src trace.Source, whole *trace.Trace, cfg Config) error {
 		if err := r.mat.Validate(); err != nil {
 			return fmt.Errorf("hil: %w", err)
 		}
-	} else if r.live == nil {
-		r.live = make(map[uint32]trace.Task)
 	}
 	// Split the fault plan into its two injectors before the accelerator
 	// is configured: the dct/trs clauses (plus the degrade knob) ride
@@ -341,7 +340,7 @@ func (r *runner) reset(src trace.Source, whole *trace.Trace, cfg Config) error {
 func (r *runner) scrub() {
 	r.src, r.ts, r.mat, r.kinds = nil, trace.TraceSource{}, nil, nil
 	r.lookahead, r.feedErr = trace.Task{}, nil
-	clear(r.live) // keep the map's capacity, drop its descriptors
+	r.live.Reset() // keep the table's capacity, drop its descriptors
 	r.start, r.finish, r.order = nil, nil, nil
 }
 

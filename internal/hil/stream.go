@@ -16,14 +16,15 @@ import (
 // policies or by degrade recovery inside the accelerator), or is
 // permanently lost to a fault. At most Config.Window descriptors are
 // live at once, so an arbitrarily long source replays in O(window) heap:
-// no schedule arrays, no whole-trace task slice, just the live map and
+// no schedule arrays, no whole-trace task slice, just the live table and
 // the running probes.
 //
 // Run is the same loop over its materialized trace with an unbounded
 // window: the trace is validated once and indexed in place, and the run
 // records its schedule. A windowed run over a materialized source is
 // indexed in place too; only a streamed source copies its live
-// descriptors into the map.
+// descriptors into a table keyed by task ID, whose capacity follows the
+// number of live descriptors, not the span of IDs they cover.
 //
 // The window is modeled backpressure on creation. It composes with the
 // existing knobs — picos.NewQDepth (the accelerator's submission
@@ -64,10 +65,10 @@ func (r *runner) tasksOutstanding() bool {
 }
 
 // retire drops a live descriptor once it can never act again (finished,
-// refused, or lost) from the live map of a streamed source; the window
+// refused, or lost) from the live table of a streamed source; the window
 // slot itself reopens through accounted.
 func (r *runner) retire(id uint32) {
-	delete(r.live, id)
+	r.live.Delete(uint64(id))
 }
 
 // retireDegraded retires the tasks the gateway refused under degrade
@@ -80,14 +81,15 @@ func (r *runner) retireDegraded(f *faults.PicosFaults) {
 }
 
 // taskAt resolves a task index to its descriptor: the materialized trace
-// in place, or the live map of a streamed source. Every index the runner
-// holds (parked, in flight, granted) belongs to a live task, so the map
-// lookup cannot miss.
+// in place, or the live table of a streamed source. Every index the
+// runner holds (parked, in flight, granted) belongs to a live task, so
+// the table lookup cannot miss.
 func (r *runner) taskAt(idx uint32) trace.Task {
 	if r.mat != nil {
 		return r.mat.Tasks[idx]
 	}
-	return r.live[idx]
+	t, _ := r.live.Get(uint64(idx))
+	return t
 }
 
 // srcHasNext reports whether the source may still produce a task. For a
@@ -139,12 +141,12 @@ func (r *runner) srcPeek() (*trace.Task, bool) {
 }
 
 // srcCommit makes the peeked task t live and returns its index; a
-// streamed descriptor is copied into the live map.
+// streamed descriptor is copied into the live table.
 func (r *runner) srcCommit(t *trace.Task) uint32 {
 	r.fetched++
 	r.aggDur += t.Duration
 	if r.mat == nil {
-		r.live[t.ID] = *t
+		r.live.Put(uint64(t.ID), *t)
 		r.lookaheadOK = false
 	}
 	return t.ID

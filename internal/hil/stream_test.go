@@ -207,24 +207,26 @@ func TestStreamWrappedTraceEquivalence(t *testing.T) {
 
 // stragglerSource streams one long task followed by short independent
 // ones. It is not a *trace.TraceSource, so the platform keeps its live
-// descriptors in the live map, whose size it samples at every pull.
+// descriptors in the live table, whose length and capacity it samples at
+// every pull.
 type stragglerSource struct {
-	n, next int
-	pl      *Platform
-	maxLive int
+	n, next         int
+	pl              *Platform
+	maxLive, maxCap int
 }
 
 func (s *stragglerSource) Name() string         { return "straggler" }
 func (s *stragglerSource) Kinds() []string      { return nil }
 func (s *stragglerSource) SerialCycles() uint64 { return 0 }
 func (s *stragglerSource) RefSeqCycles() uint64 { return 0 }
-func (s *stragglerSource) Rewind() error        { s.next, s.maxLive = 0, 0; return nil }
+func (s *stragglerSource) Rewind() error        { s.next, s.maxLive, s.maxCap = 0, 0, 0; return nil }
 
 func (s *stragglerSource) Next() (trace.Task, bool) {
 	if s.next == s.n {
 		return trace.Task{}, false
 	}
-	s.maxLive = max(s.maxLive, len(s.pl.r.live))
+	s.maxLive = max(s.maxLive, s.pl.r.live.Len())
+	s.maxCap = max(s.maxCap, s.pl.r.live.Cap())
 	t := trace.Task{ID: uint32(s.next), Duration: 100,
 		Deps: []trace.Dep{{Addr: uint64(s.next+1) << 12, Dir: trace.Out}}}
 	if s.next == 0 {
@@ -237,9 +239,10 @@ func (s *stragglerSource) Next() (trace.Task, bool) {
 // TestStreamStragglerWindow: a straggler pins one window slot for 10^7
 // cycles while 2,000 short tasks stream through the rest. The live
 // table is keyed by task, not by stream position, so it never holds
-// more than Window descriptors however far the stream runs ahead of its
-// oldest live task; the run completes, and the fast loop matches the
-// reference on the aggregates.
+// more than Window descriptors, and its capacity stays within 4 x
+// Window, however far the stream runs ahead of its oldest live task;
+// the run completes, and the fast loop matches the reference on the
+// aggregates.
 func TestStreamStragglerWindow(t *testing.T) {
 	const n = 2001
 	for _, mode := range streamModes {
@@ -264,6 +267,10 @@ func TestStreamStragglerWindow(t *testing.T) {
 			if src.maxLive+1 > cfg.Window {
 				t.Fatalf("%s fast=%v: live table held %d descriptors, window is %d",
 					mode, fast, src.maxLive+1, cfg.Window)
+			}
+			if src.maxCap > 4*cfg.Window {
+				t.Fatalf("%s fast=%v: live table grew to %d slots, window is %d",
+					mode, fast, src.maxCap, cfg.Window)
 			}
 			res[i] = r
 		}

@@ -28,7 +28,9 @@ const HotPathDirective = "//picos:hotpath"
 //     is allowed only with an explicit //lint:ignore hotalloc,
 //   - fmt.* calls: allocate and box via reflection,
 //   - interface boxing: passing or assigning a concrete value where an
-//     interface is expected.
+//     interface is expected,
+//   - writes through a map index (m[k] = v, m[k] op= v, m[k]++): an
+//     insert can grow the map and allocate. Reads are allowed.
 //
 // Plain value struct literals (T{...} assigned into existing storage)
 // and append into preallocated slices are allowed: they copy into
@@ -82,14 +84,32 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 		case *ast.CallExpr:
 			checkHotCall(pass, info, name, node)
 		case *ast.AssignStmt:
+			for _, lhs := range node.Lhs {
+				checkMapWrite(pass, info, name, lhs)
+			}
 			for i, rhs := range node.Rhs {
 				if i < len(node.Lhs) {
 					checkBoxing(pass, info, name, info.TypeOf(node.Lhs[i]), rhs)
 				}
 			}
+		case *ast.IncDecStmt:
+			checkMapWrite(pass, info, name, node.X)
 		}
 		return true
 	})
+}
+
+// checkMapWrite flags an assignment target that indexes a map.
+func checkMapWrite(pass *Pass, info *types.Info, name string, lhs ast.Expr) {
+	ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
+	if !ok {
+		return
+	}
+	if t := info.TypeOf(ix.X); t != nil {
+		if _, isMap := t.Underlying().(*types.Map); isMap {
+			pass.Reportf(lhs.Pos(), "%s is //picos:hotpath but writes through a map index (an insert can grow the map and allocate)", name)
+		}
+	}
 }
 
 // checkHotCall flags new(T), fmt.* and interface boxing at call

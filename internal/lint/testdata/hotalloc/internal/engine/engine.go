@@ -13,6 +13,7 @@ type machine struct {
 	queue   []event
 	scratch event
 	sink    any
+	index   map[uint64]int
 }
 
 //picos:hotpath
@@ -28,7 +29,11 @@ func (m *machine) badStep(now uint64) {
 	fmt.Printf("step %d\n", now)      // want `calls fmt\.Printf`
 	f := func() uint64 { return now } // want `declares a func literal`
 	_ = f
-	m.sink = now // want `boxes a uint64 into an interface`
+	m.sink = now               // want `boxes a uint64 into an interface`
+	m.index[now] = 1           // want `writes through a map index`
+	m.index[now] += 2          // want `writes through a map index`
+	m.index[now]++             // want `writes through a map index`
+	(m.index)[now+1], _ = 3, 4 // want `writes through a map index`
 }
 
 //picos:hotpath
@@ -41,6 +46,8 @@ func (m *machine) goodStep(now uint64) {
 	m.sink = &m.scratch
 	// Zeroing with an empty literal is a clear, allocation-free reset.
 	m.scratch = event{}
+	// Reading a map never grows it.
+	m.scratch.id = m.index[now]
 }
 
 // coldStep is unannotated: the same constructs are fine off the hot

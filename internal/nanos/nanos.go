@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"repro/internal/sched"
+	"repro/internal/table"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
 )
@@ -270,23 +271,24 @@ type nodeState struct {
 type loop struct {
 	pool   sched.Pool[struct{}] // ready tasks + parked workers
 	inc    *taskgraph.Incremental
-	live   map[int32]*nodeState
-	free   []*nodeState // retired nodes, reused with their succ capacity
+	live   table.Map[*nodeState] // task ID -> node of each live task
+	free   []*nodeState          // retired nodes, reused with their succ capacity
 	events evHeap
 }
 
 var loops = sync.Pool{New: func() any {
-	return &loop{inc: taskgraph.NewIncremental(), live: make(map[int32]*nodeState)}
+	return &loop{inc: taskgraph.NewIncremental()}
 }}
 
 // simulate runs the discrete-event loop over a rewound source. The live
-// set holds one node per created-but-unfinished task: the master adds a
-// node when its creation event fires and the worker-done release
-// deletes it, so under a positive cfg.Window at most that many nodes
-// exist at once and an arbitrarily long stream replays in O(window) heap
-// (plus the per-address dependence state of taskgraph.Incremental). When
-// the window is full the master parks, and the next release re-arms the
-// creation chain.
+// set holds one node per created-but-unfinished task, in a table keyed
+// by task ID whose capacity follows the number of live tasks: the
+// master adds a node when its creation event fires and the worker-done
+// release deletes it, so under a positive cfg.Window at most that many
+// nodes exist at once and an arbitrarily long stream replays in
+// O(window) heap (plus the per-address dependence state of
+// taskgraph.Incremental). When the window is full the master parks, and
+// the next release re-arms the creation chain.
 //
 // Only predecessors still live gate a new task; a finished one already
 // released its constraint. res arrives with its Start/Finish arrays
@@ -299,7 +301,7 @@ func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64
 		// Hand the (possibly grown) state back emptied, error paths
 		// included.
 		l.inc.Reset()
-		clear(l.live)
+		l.live.Reset()
 		l.events = l.events[:0]
 		loops.Put(l)
 	}()
@@ -313,7 +315,7 @@ func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64
 	if err := pool.Reset(classes, cfg.Sched, cfg.Steal, kinds, prio); err != nil {
 		return nil, fmt.Errorf("nanos: %w", err)
 	}
-	live := l.live
+	live := &l.live
 
 	var (
 		seq      uint64
@@ -354,7 +356,7 @@ func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64
 	// event, provided the source has one, the window has room and no
 	// pull is already in flight.
 	armCreate := func(at uint64) error {
-		if pendingOK || srcDone || (cfg.Window > 0 && len(live) >= cfg.Window) {
+		if pendingOK || srcDone || (cfg.Window > 0 && live.Len() >= cfg.Window) {
 			parked = !pendingOK && !srcDone
 			return nil
 		}
@@ -400,7 +402,7 @@ func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64
 
 	for len(l.events) > 0 {
 		if horizon := l.events[0].at; horizon > cfg.Watchdog {
-			return nil, fmt.Errorf("nanos: watchdog at cycle %d (%d finished, %d live)", horizon, finished, len(live))
+			return nil, fmt.Errorf("nanos: watchdog at cycle %d (%d finished, %d live)", horizon, finished, live.Len())
 		}
 		ev := l.events.pop()
 		switch ev.kind {
@@ -413,12 +415,12 @@ func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64
 			nd := l.node()
 			nd.ndeps, nd.dur, nd.kind = len(task.Deps), task.Duration, task.Kind
 			for _, p := range l.inc.Preds(t, task.Deps) {
-				if pn, alive := live[p]; alive {
+				if pn, alive := live.Get(uint64(p)); alive {
 					pn.succ = append(pn.succ, t)
 					nd.remaining++
 				}
 			}
-			live[t] = nd
+			live.Put(uint64(t), nd)
 			hold := tm.inflate(tm.SubmitBase+uint64(nd.ndeps)*tm.SubmitPerDep, threads)
 			end := acquireLock(ev.at, hold)
 			if nd.remaining == 0 {
@@ -443,7 +445,8 @@ func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64
 			}
 			lastStart = max(lastStart, end)
 			started++
-			fin := end + pool.Scale(ev.who, live[t].dur)
+			nd, _ := live.Get(uint64(t))
+			fin := end + pool.Scale(ev.who, nd.dur)
 			if res.Start != nil {
 				res.Start[t], res.Finish[t] = end, fin
 			}
@@ -457,19 +460,19 @@ func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64
 			}
 		case evWorkerDone:
 			t := ev.task
-			nd := live[t]
+			nd, _ := live.Get(uint64(t))
 			hold := tm.inflate(tm.ReleaseBase+uint64(nd.ndeps)*tm.ReleasePerDep, threads)
 			end := acquireLock(ev.at, hold)
 			finished++
 			res.Makespan = max(res.Makespan, ev.at)
 			for _, s := range nd.succ {
-				sn := live[s]
+				sn, _ := live.Get(uint64(s))
 				sn.remaining--
 				if sn.remaining == 0 {
 					markReady(s, sn.kind, end)
 				}
 			}
-			delete(live, t) // retire: the window slot reopens
+			live.Delete(uint64(t)) // retire: the window slot reopens
 			l.free = append(l.free, nd)
 			if parked {
 				if err := armCreate(end); err != nil {
@@ -481,8 +484,8 @@ func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64
 		}
 	}
 
-	if len(live) > 0 || pendingOK || !srcDone {
-		return nil, fmt.Errorf("nanos: stalled with %d live tasks after %d finished (scheduler wedge)", len(live), finished)
+	if live.Len() > 0 || pendingOK || !srcDone {
+		return nil, fmt.Errorf("nanos: stalled with %d live tasks after %d finished (scheduler wedge)", live.Len(), finished)
 	}
 	if res.Baseline == 0 {
 		res.Baseline = src.SerialCycles() + aggDur

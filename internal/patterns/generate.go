@@ -2,6 +2,7 @@ package patterns
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/detrand"
@@ -59,7 +60,6 @@ func Generate(p Params, retain int) (trace.Source, error) {
 		points: p.points(),
 		name:   "pattern-" + p.Name(),
 		kinds:  []string{p.Family},
-		seen:   make(map[uint64]bool, trace.MaxDeps),
 	}
 	if p.Layout == "shard" && !fam.freshAddr {
 		// The slot table of the chaining families is O(points*fields) —
@@ -100,7 +100,6 @@ type gridSource struct {
 	// Shard-layout probe cursor for fresh-address families.
 	slot     int
 	nextAddr uint64
-	seen     map[uint64]bool
 }
 
 func (s *gridSource) Name() string         { return s.name }
@@ -113,7 +112,6 @@ func (s *gridSource) Rewind() error { s.reset(); return nil }
 func (s *gridSource) reset() {
 	s.t, s.i, s.id = 0, 0, 0
 	s.slot, s.nextAddr = 0, patternBase
-	clear(s.seen)
 }
 
 // buf returns the step-t field buffer of point i.
@@ -178,9 +176,6 @@ func (s *gridSource) Next() (trace.Task, bool) {
 				deps = s.addRegions(deps, s.buf(j, t-1), trace.In)
 			}
 		}
-		for _, d := range deps {
-			delete(s.seen, d.Addr)
-		}
 		dur := p.Len
 		if p.Jitter > 0 {
 			dur = detrand.Jitter(p.Len, p.Seed^uint64(id)<<1, p.Jitter)
@@ -190,15 +185,15 @@ func (s *gridSource) Next() (trace.Task, bool) {
 }
 
 // addRegions appends one dependence per address region of a point
-// buffer, deduplicated and capped at the hardware's per-task limit.
+// buffer, capped at the hardware's per-task limit. An address the task
+// already names keeps its first direction: the list holds at most
+// trace.MaxDeps entries, so scanning it is the cheapest dedup.
 func (s *gridSource) addRegions(deps []trace.Dep, base uint64, dir trace.Direction) []trace.Dep {
-	for r := 0; r < s.p.Regions; r++ {
+	for r := 0; r < s.p.Regions && len(deps) < trace.MaxDeps; r++ {
 		a := base + uint64(r)*regionStride
-		if s.seen[a] || len(deps) == trace.MaxDeps {
-			continue
+		if !slices.ContainsFunc(deps, func(d trace.Dep) bool { return d.Addr == a }) {
+			deps = append(deps, trace.Dep{Addr: a, Dir: dir})
 		}
-		s.seen[a] = true
-		deps = append(deps, trace.Dep{Addr: a, Dir: dir})
 	}
 	return deps
 }

@@ -13,7 +13,7 @@ import (
 
 // TestWarmIncrementalAllocs locks the reuse contract of Incremental: a
 // warm analysis re-run over cholesky/32 (45,760 tasks, 2,080 addresses)
-// after Reset makes no allocation at all — the address map, the slot
+// after Reset makes no allocation at all — the address table, the slot
 // array, the reader pool and the predecessor scratch all keep their
 // capacity.
 func TestWarmIncrementalAllocs(t *testing.T) {

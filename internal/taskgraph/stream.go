@@ -3,6 +3,7 @@ package taskgraph
 import (
 	"slices"
 
+	"repro/internal/table"
 	"repro/internal/trace"
 )
 
@@ -18,12 +19,13 @@ import (
 // touch O(width) addresses, so unbounded replays stay bounded;
 // fresh-address families inherently grow it.
 //
-// The state is pointer-free: the address map resolves to a slot in a
-// dense addrState array, and each address's readers form a linked list
-// through one shared node pool whose released nodes are recycled. Reset
-// keeps every buffer, so a warm analysis allocates nothing.
+// The state is pointer-free: an open-addressed table resolves each
+// address to a slot in a dense addrState array, and each address's
+// readers form a linked list through one shared node pool whose released
+// nodes are recycled. Reset keeps every buffer, so a warm analysis
+// allocates nothing.
 type Incremental struct {
-	slot    map[uint64]int32 // address -> index into addrs
+	slot    table.Map[int32] // address -> index into addrs
 	addrs   []addrState
 	readers []readerNode // shared pool of reader-list nodes
 	free    int32        // head of the released-node list, -1 if empty
@@ -44,12 +46,12 @@ type readerNode struct {
 
 // NewIncremental returns an empty analysis.
 func NewIncremental() *Incremental {
-	return &Incremental{slot: make(map[uint64]int32), free: -1}
+	return &Incremental{free: -1}
 }
 
 // Reset empties the analysis for reuse, keeping every buffer's capacity.
 func (inc *Incremental) Reset() {
-	clear(inc.slot)
+	inc.slot.Reset()
 	inc.addrs = inc.addrs[:0]
 	inc.readers = inc.readers[:0]
 	inc.free = -1
@@ -64,10 +66,10 @@ func (inc *Incremental) Reset() {
 func (inc *Incremental) Preds(id int32, deps []trace.Dep) []int32 {
 	preds := inc.scratch[:0]
 	for _, d := range deps {
-		s, ok := inc.slot[d.Addr]
+		s, ok := inc.slot.Get(d.Addr)
 		if !ok {
 			s = int32(len(inc.addrs))
-			inc.slot[d.Addr] = s
+			inc.slot.Put(d.Addr, s)
 			inc.addrs = append(inc.addrs, addrState{lastWriter: -1, readHead: -1})
 		}
 		st := &inc.addrs[s]
