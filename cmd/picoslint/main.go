@@ -1,6 +1,6 @@
 // Command picoslint runs the repository's analyzer suite (internal/lint)
-// over the module: determinism of internal packages, the dirty-horizon
-// discipline of the event scheduler, the //picos:hotpath zero-allocation
+// over the module: determinism of internal packages, the key discipline
+// of the event horizon, the //picos:hotpath zero-allocation
 // contract, sim.Spec knob threading and errors.Is discipline for
 // sentinel errors.
 //

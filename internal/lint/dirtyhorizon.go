@@ -3,53 +3,60 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// DirtyHorizon enforces the contract of the incremental event horizon
-// (internal/picos/horizon.go): the per-unit keys are re-polled lazily,
-// only for units marked dirty, so ANY state change that can move a
-// unit's nextEvent() horizon must mark that unit dirty.
-// A missed markDirty is the nastiest bug class this model has — the
-// horizon key goes stale, the fast path sleeps through a real event, and
-// the divergence surfaces hundreds of thousands of cycles later as a
-// wedged run or a schedule that differs from the cycle-stepped
-// reference.
+// DirtyHorizon enforces the contract of the event horizon
+// (internal/picos/horizon.go): every unit's key must equal its
+// nextEvent() whenever the scheduler reads it, and nothing polls the
+// keys to keep them so. A key moves only when its unit steps (the
+// post-step rekey) or when input lands in one of its empty FIFOs
+// (lower). A key that misses a move goes stale: the fast path sleeps
+// through a real event or steps a unit that cannot act, and the
+// divergence surfaces hundreds of thousands of cycles later as a wedged
+// run or a schedule that differs from the cycle-stepped reference.
 //
-// The analyzer applies to packages named picos. A "unit" is any struct
-// type with an `hid` field (its slot in the horizon keys). The tracked
-// horizon-bearing mutations are:
+// The analyzer applies to packages named picos. A unit is a struct type
+// with an hid field (its key slot); a wired FIFO is a struct type with
+// key and gate fields (regFIFO). It checks four rules:
 //
-//   - push/pop on a unit's registered FIFOs (lowercase push/pop — the
-//     regFIFO surface; the raw queue.FIFO Push/Pop used inside
-//     container types is not a unit-level event),
-//   - assignments to the busy-timer and blocked/stalled fields that
-//     gate nextEvent(): busyUntil, busyUntilFin, blocked, headStalled,
-//     hasParked, stall, parkedStall, parkedRetryAt.
+//   - Key writes. A horizon key — an element of an hkey field, the field
+//     itself, or anything written through a *uint64 (the wired key
+//     pointers) — is written only in lower, in rebuildHorizon, or by the
+//     post-step rekey `p.hkey[u.hid] = u.nextEvent()` directly after
+//     `u.step(now)`.
+//   - Rekey after step. A call of a unit's step from outside the unit
+//     is directly followed by that rekey.
+//   - Gating fields. The fields besides the FIFOs that nextEvent and the
+//     stall accounting read (busyUntil, busyUntilFin, blocked,
+//     blockedAt, headStalled, hasParked, stall, parkedStall,
+//     parkedRetryAt) are written only on the receiver, by methods of the
+//     unit's own type reached from its step or its reset: the rekey
+//     after the step, or the rebuildHorizon after a reset, accounts for
+//     the change. gateway.returnCredit, which a DCT's step calls, may
+//     raise the GW's retry signal but no gating field.
+//   - Inputs. A unit's input arrives only through a wired FIFO's push or
+//     through a function that lowers the key itself (arbiter.route): a
+//     raw Push into a wired FIFO's inner queue outside the FIFO's own
+//     methods, or a push into a unit input that is not a wired FIFO (a
+//     field the unit's nextEvent reads) from a function that never calls
+//     lower, is a finding.
 //
-// A function containing such a mutation on owner O (the selector chain
-// holding the FIFO or field, e.g. `p.gw` for p.gw.newQ.push) must also
-// contain markDirty(O.hid), or reach one transitively by calling
-// another method of the same unit that marks its own receiver dirty
-// (the consume() idiom in trs.go/dct.go). Functions named reset,
-// rebuildHorizon, nextEvent, active and markDirty are
-// exempt: resets are followed by rebuildHorizon, which re-derives every
-// key from scratch, and the scheduler internals are the mechanism
-// itself. Anything else must carry a //lint:ignore dirtyhorizon with
-// its proof of why the horizon cannot move.
+// Anything else must carry a //lint:ignore dirtyhorizon with its proof
+// of why the key cannot move.
 var DirtyHorizon = &Analyzer{
 	Name:    "dirtyhorizon",
-	Doc:     "horizon-bearing unit mutations must markDirty the mutated unit",
+	Doc:     "horizon keys move only at the post-step rekey and at lowering pushes into a unit's inputs",
 	Applies: func(p *Package) bool { return p.Name == "picos" },
 	Run:     runDirtyHorizon,
 }
 
-// horizonFields are the unit fields whose value feeds nextEvent() or the
-// stepDue()/skipTo() stall accounting.
-var horizonFields = map[string]bool{
+// gatingFields are the unit fields besides the input FIFOs whose value
+// feeds nextEvent() or the stepDue()/skipTo() stall accounting.
+var gatingFields = map[string]bool{
 	"busyUntil":     true,
 	"busyUntilFin":  true,
 	"blocked":       true,
+	"blockedAt":     true,
 	"headStalled":   true,
 	"hasParked":     true,
 	"stall":         true,
@@ -57,255 +64,278 @@ var horizonFields = map[string]bool{
 	"parkedRetryAt": true,
 }
 
-// dirtyExemptFuncs never need to mark units dirty themselves.
-var dirtyExemptFuncs = map[string]bool{
-	"reset":          true, // always followed by rebuildHorizon
-	"rebuildHorizon": true, // re-derives every key
-	"nextEvent":      true, // read-only polling surface
-	"active":         true, // read-only
-	"markDirty":      true, // the mechanism
-}
+// keyWriters may write horizon keys freely: lower is the one lowering,
+// rebuildHorizon derives every key from scratch.
+var keyWriters = map[string]bool{"lower": true, "rebuildHorizon": true}
 
-// unitMutation is one horizon-bearing mutation found in a function body.
-type unitMutation struct {
-	pos   ast.Node
-	owner string // selector chain of the mutated unit, e.g. "u" or "p.gw"
-	what  string // human description for the diagnostic
+// horizonFacts are the per-type method facts the rules need.
+type horizonFacts struct {
+	// reached holds "Type.method" for every method reached from its own
+	// type's step or reset through calls on the receiver.
+	reached map[string]bool
+	// inputs holds, per unit type, the receiver fields its nextEvent
+	// reads.
+	inputs map[string]map[string]bool
 }
 
 func runDirtyHorizon(pass *Pass) {
-	info := pass.Pkg.Info
-
-	// Pass 1: per unit type, which methods mark their own receiver dirty
-	// — directly or by calling sibling methods that do (the consume()
-	// idiom). selfMarks is keyed "TypeName.method".
-	type methodFacts struct {
-		marks bool            // body contains markDirty(recv.hid)
-		calls map[string]bool // sibling methods invoked on the receiver
+	facts := collectHorizonFacts(pass)
+	for _, file := range pass.Pkg.Files {
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				checkHorizonFunc(pass, fn, facts)
+			}
+		}
 	}
-	facts := map[string]*methodFacts{}
+}
+
+// collectHorizonFacts walks every method once: which sibling methods it
+// calls on its receiver, and for nextEvent which receiver fields it
+// reads.
+func collectHorizonFacts(pass *Pass) horizonFacts {
+	calls := map[string][]string{} // "Type.method" -> sibling "Type.method"s
+	var roots []string             // every step and reset method
+	hf := horizonFacts{reached: map[string]bool{}, inputs: map[string]map[string]bool{}}
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || fn.Body == nil {
+			if !ok || fn.Body == nil {
 				continue
 			}
 			recv, tname := receiverName(fn), receiverTypeName(fn)
 			if recv == "" || tname == "" {
 				continue
 			}
-			mf := &methodFacts{calls: map[string]bool{}}
-			facts[tname+"."+fn.Name.Name] = mf
+			key := tname + "." + fn.Name.Name
+			if fn.Name.Name == "step" || fn.Name.Name == "reset" {
+				roots = append(roots, key)
+			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if isMarkDirtyOf(call, recv) {
-					mf.marks = true
-				}
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					if base, ok := sel.X.(*ast.Ident); ok && base.Name == recv {
-						mf.calls[tname+"."+sel.Sel.Name] = true
+				switch node := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := ast.Unparen(node.Fun).(*ast.SelectorExpr); ok && isIdent(sel.X, recv) {
+						calls[key] = append(calls[key], tname+"."+sel.Sel.Name)
+					}
+				case *ast.SelectorExpr:
+					if fn.Name.Name == "nextEvent" && isIdent(node.X, recv) {
+						if hf.inputs[tname] == nil {
+							hf.inputs[tname] = map[string]bool{}
+						}
+						hf.inputs[tname][node.Sel.Name] = true
 					}
 				}
 				return true
 			})
 		}
 	}
-	selfMarks := func(key string) bool {
-		seen := map[string]bool{}
-		var walk func(k string) bool
-		walk = func(k string) bool {
-			if seen[k] {
-				return false
-			}
-			seen[k] = true
-			mf, ok := facts[k]
-			if !ok {
-				return false
-			}
-			if mf.marks {
-				return true
-			}
-			for callee := range mf.calls {
-				if walk(callee) {
-					return true
-				}
-			}
-			return false
+	var walk func(string)
+	walk = func(k string) {
+		if hf.reached[k] {
+			return
 		}
-		return walk(key)
-	}
-
-	// Pass 2: find mutations and check each owner is marked dirty.
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || dirtyExemptFuncs[fn.Name.Name] {
-				continue
-			}
-			muts := collectMutations(pass, fn)
-			if len(muts) == 0 {
-				continue
-			}
-			marked := collectMarkedOwners(fn)
-			for _, m := range muts {
-				if marked[m.owner] {
-					continue
-				}
-				if ownerSatisfiedTransitively(info, fn, m.owner, selfMarks) {
-					continue
-				}
-				pass.Reportf(m.pos.Pos(),
-					"%s %s without marking the unit dirty; call markDirty(%s.hid) (or //lint:ignore dirtyhorizon with proof the horizon cannot move)",
-					fn.Name.Name, m.what, m.owner)
-			}
+		hf.reached[k] = true
+		for _, callee := range calls[k] {
+			walk(callee)
 		}
 	}
-}
-
-// isMarkDirtyOf reports whether call is markDirty(<owner>.hid) for the
-// given owner chain (any callee chain: p.markDirty, u.p.markDirty...).
-func isMarkDirtyOf(call *ast.CallExpr, owner string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "markDirty" || len(call.Args) != 1 {
-		return false
+	for _, k := range roots {
+		walk(k)
 	}
-	arg, ok := chainString(call.Args[0])
-	return ok && arg == owner+".hid"
+	return hf
 }
 
-// collectMarkedOwners returns every owner chain O for which the body
-// contains a markDirty(O.hid) call, flow-insensitively.
-func collectMarkedOwners(fn *ast.FuncDecl) map[string]bool {
-	owners := map[string]bool{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "markDirty" || len(call.Args) != 1 {
-			return true
-		}
-		if arg, ok := chainString(call.Args[0]); ok && strings.HasSuffix(arg, ".hid") {
-			owners[strings.TrimSuffix(arg, ".hid")] = true
-		}
-		return true
-	})
-	return owners
-}
-
-// collectMutations finds the horizon-bearing mutations of a function:
-// regFIFO push/pop calls and horizon-field assignments whose owner is a
-// unit (a struct with an hid field).
-func collectMutations(pass *Pass, fn *ast.FuncDecl) []unitMutation {
+// checkHorizonFunc applies the four rules to one function body.
+func checkHorizonFunc(pass *Pass, fn *ast.FuncDecl, hf horizonFacts) {
 	info := pass.Pkg.Info
-	var muts []unitMutation
+	name, recv, tname := fn.Name.Name, receiverName(fn), receiverTypeName(fn)
+
+	// The post-step rekeys: `O.step(...)` directly followed, in the
+	// same statement list, by `P.hkey[O.hid] = O.nextEvent()`.
+	rekeys := map[ast.Stmt]bool{}
+	rekeyed := map[*ast.CallExpr]bool{}
+	forEachStmtList(fn.Body, func(list []ast.Stmt) {
+		for i := 0; i+1 < len(list); i++ {
+			call, owner, ok := unitStepCall(info, list[i])
+			if ok && isRekey(list[i+1], owner) {
+				rekeys[list[i+1]] = true
+				rekeyed[call] = true
+			}
+		}
+	})
+	lowers := false
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isIdent(call.Fun, "lower") {
+			lowers = true
+		}
+		return !lowers
+	})
+
+	checkWrite := func(stmt ast.Stmt, lhs ast.Expr) {
+		if isKeyTarget(info, lhs) {
+			if !keyWriters[name] && !rekeys[stmt] {
+				pass.Reportf(lhs.Pos(), "%s writes a horizon key outside lower, rebuildHorizon and the post-step rekey", name)
+			}
+			return
+		}
+		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+		if !ok || !gatingFields[sel.Sel.Name] || !structHasField(info.TypeOf(sel.X), "hid") {
+			return
+		}
+		owner, _ := chainString(sel.X)
+		unit := namedTypeName(info.TypeOf(sel.X))
+		if tname == unit && owner == recv && hf.reached[unit+"."+name] {
+			return
+		}
+		pass.Reportf(lhs.Pos(), "%s writes %s.%s outside %s's step and reset, so no rekey covers it", name, owner, sel.Sel.Name, unit)
+	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range node.Lhs {
+				checkWrite(node, lhs)
+			}
+		case *ast.IncDecStmt:
+			checkWrite(node, node.X)
 		case *ast.CallExpr:
 			sel, ok := ast.Unparen(node.Fun).(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "push" && sel.Sel.Name != "pop") {
-				return true
-			}
-			// X is the FIFO chain: owner.fifoField — the unit is X's base.
-			fifoSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			owner, ok := chainString(fifoSel.X)
-			if !ok || !structHasField(info.TypeOf(fifoSel.X), "hid") {
-				return true
-			}
-			muts = append(muts, unitMutation{
-				pos:   node,
-				owner: owner,
-				what:  "calls " + owner + "." + fifoSel.Sel.Name + "." + sel.Sel.Name,
-			})
-		case *ast.AssignStmt:
-			for _, lhs := range node.Lhs {
-				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-				if !ok || !horizonFields[sel.Sel.Name] {
-					continue
+			switch sel.Sel.Name {
+			case "step":
+				unit := namedTypeName(info.TypeOf(sel.X))
+				if structHasField(info.TypeOf(sel.X), "hid") && unit != tname && !rekeyed[node] {
+					owner, _ := chainString(sel.X)
+					pass.Reportf(node.Pos(), "%s steps %s without the rekey p.hkey[%s.hid] = %s.nextEvent() directly after it", name, owner, owner, owner)
 				}
-				owner, ok := chainString(sel.X)
-				if !ok || !structHasField(info.TypeOf(sel.X), "hid") {
-					continue
-				}
-				muts = append(muts, unitMutation{
-					pos:   node,
-					owner: owner,
-					what:  "assigns " + owner + "." + sel.Sel.Name,
-				})
+			case "push", "Push":
+				checkInputPush(pass, node, sel, tname, name, lowers, hf)
 			}
-		case *ast.IncDecStmt:
-			sel, ok := ast.Unparen(node.X).(*ast.SelectorExpr)
-			if !ok || !horizonFields[sel.Sel.Name] {
-				return true
-			}
-			owner, ok := chainString(sel.X)
-			if !ok || !structHasField(info.TypeOf(sel.X), "hid") {
-				return true
-			}
-			muts = append(muts, unitMutation{
-				pos:   node,
-				owner: owner,
-				what:  "updates " + owner + "." + sel.Sel.Name,
-			})
 		}
 		return true
 	})
-	return muts
 }
 
-// ownerSatisfiedTransitively reports whether a mutation on owner is
-// covered by a call, somewhere in fn, to a method of that same unit that
-// (transitively) marks its own receiver dirty — the consume() idiom,
-// where the busy-timer update and the markDirty live in a helper.
-func ownerSatisfiedTransitively(info *types.Info, fn *ast.FuncDecl, owner string, selfMarks func(string) bool) bool {
-	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if found {
+// checkInputPush applies the inputs rule to one push call.
+func checkInputPush(pass *Pass, call *ast.CallExpr, sel *ast.SelectorExpr, tname, name string, lowers bool, hf horizonFacts) {
+	info := pass.Pkg.Info
+	field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	holder := info.TypeOf(field.X)
+	target, _ := chainString(field)
+	switch {
+	case isWiredFIFO(holder):
+		if namedTypeName(holder) != tname {
+			pass.Reportf(call.Pos(), "%s pushes into %s, the inner queue of a wired FIFO, bypassing its push and the key lowering", name, target)
+		}
+	case structHasField(holder, "hid"):
+		unit := namedTypeName(holder)
+		if hf.inputs[unit][field.Sel.Name] && !isWiredFIFO(info.TypeOf(field)) && !lowers {
+			pass.Reportf(call.Pos(), "%s pushes into %s, an input of %s, without lowering its key", name, target, unit)
+		}
+	}
+}
+
+// isWiredFIFO reports whether t is (a pointer to) a FIFO wired to a
+// horizon key: a struct with key and gate fields.
+func isWiredFIFO(t types.Type) bool {
+	return structHasField(t, "key") && structHasField(t, "gate")
+}
+
+// isKeyTarget reports whether an assignment target is a horizon key: an
+// hkey element or field, or a write through a *uint64.
+func isKeyTarget(info *types.Info, lhs ast.Expr) bool {
+	switch x := ast.Unparen(lhs).(type) {
+	case *ast.IndexExpr:
+		sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "hkey"
+	case *ast.SelectorExpr:
+		return x.Sel.Name == "hkey"
+	case *ast.StarExpr:
+		ptr, ok := info.TypeOf(x.X).(*types.Pointer)
+		if !ok {
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		base, ok := chainString(sel.X)
-		if !ok || base != owner {
-			return true
-		}
-		tname := namedTypeName(info.TypeOf(sel.X))
-		if tname != "" && selfMarks(tname+"."+sel.Sel.Name) {
-			found = true
-			return false
+		basic, ok := ptr.Elem().(*types.Basic)
+		return ok && basic.Kind() == types.Uint64
+	}
+	return false
+}
+
+// unitStepCall matches the statement `O.step(...)` on a unit O.
+func unitStepCall(info *types.Info, stmt ast.Stmt) (*ast.CallExpr, string, bool) {
+	es, ok := stmt.(*ast.ExprStmt)
+	if !ok {
+		return nil, "", false
+	}
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok {
+		return nil, "", false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "step" || !structHasField(info.TypeOf(sel.X), "hid") {
+		return nil, "", false
+	}
+	owner, ok := chainString(sel.X)
+	return call, owner, ok
+}
+
+// isRekey matches the statement `P.hkey[owner.hid] = owner.nextEvent()`.
+func isRekey(stmt ast.Stmt, owner string) bool {
+	as, ok := stmt.(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return false
+	}
+	idx, ok := ast.Unparen(as.Lhs[0]).(*ast.IndexExpr)
+	if !ok {
+		return false
+	}
+	if sel, ok := ast.Unparen(idx.X).(*ast.SelectorExpr); !ok || sel.Sel.Name != "hkey" {
+		return false
+	}
+	if slot, ok := chainString(idx.Index); !ok || slot != owner+".hid" {
+		return false
+	}
+	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return false
+	}
+	callee, ok := chainString(call.Fun)
+	return ok && callee == owner+".nextEvent"
+}
+
+// forEachStmtList calls f on every statement list in body: blocks and
+// the bodies of case and select clauses.
+func forEachStmtList(body *ast.BlockStmt, f func([]ast.Stmt)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.BlockStmt:
+			f(x.List)
+		case *ast.CaseClause:
+			f(x.Body)
+		case *ast.CommClause:
+			f(x.Body)
 		}
 		return true
 	})
-	return found
 }
 
-// namedTypeName extracts the bare named-type name from a (possibly
-// pointer) type's string form: "*repro/internal/picos.trsUnit" ->
-// "trsUnit".
+// isIdent reports whether e is the identifier name.
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == name
+}
+
+// namedTypeName returns the name of a (pointer to a) named type, with no
+// package or type arguments: *picos.regFIFO[T] -> "regFIFO".
 func namedTypeName(t types.Type) string {
-	if t == nil {
-		return ""
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
 	}
-	s := t.String()
-	s = strings.TrimPrefix(s, "*")
-	if i := strings.LastIndex(s, "."); i >= 0 {
-		s = s[i+1:]
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
 	}
-	if i := strings.Index(s, "["); i >= 0 { // generic instantiation
-		s = s[:i]
-	}
-	return s
+	return ""
 }

@@ -3,7 +3,7 @@
 // and go/types (no go/packages, no x/tools), runs a fixed suite of
 // analyzers over the type-checked syntax, and enforces the simulator's
 // correctness invariants — determinism of everything under internal/,
-// the dirty-horizon discipline of the incremental event scheduler, the
+// the key discipline of the push-maintained event horizon, the
 // zero-allocation contract of //picos:hotpath functions, full threading
 // of every sim.Spec knob, and errors.Is discipline for sentinel errors —
 // at build time instead of at test time.

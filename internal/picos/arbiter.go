@@ -26,7 +26,7 @@ type arbiter struct {
 	timing *Timing
 	in     arbHeap
 	routed uint64
-	hid    int32 // horizon slot
+	hid    int32 // horizon key slot
 }
 
 func newArbiter(p *Picos) *arbiter {
@@ -39,10 +39,13 @@ func (a *arbiter) reset() {
 	a.routed = 0
 }
 
-// route accepts a message that becomes routable at cycle `at`.
+// route accepts a message that becomes routable at cycle `at`. It is
+// the arbiter's only input, and the heap orders messages by stamp, so
+// every route can move the head and lowers the key to at (the arbiter
+// has no busy timer gating it).
 func (a *arbiter) route(m arbMsg, at uint64) {
 	a.in.push(m, at)
-	a.p.markDirty(a.hid)
+	lower(&a.p.hkey[a.hid], at)
 }
 
 func (a *arbiter) step(now uint64) {
@@ -51,7 +54,6 @@ func (a *arbiter) step(now uint64) {
 		if !ok {
 			return
 		}
-		a.p.markDirty(a.hid)
 		a.routed++
 		at := now + a.timing.ArbHop
 		if f := a.p.cfg.Faults; f != nil {
@@ -64,32 +66,26 @@ func (a *arbiter) step(now uint64) {
 		case arbStat:
 			t := a.p.trs[m.stat.task.TRS]
 			t.statusQ.push(m.stat, at)
-			a.p.markDirty(t.hid)
 		case arbWake:
 			t := a.p.trs[m.wake.task.TRS]
 			t.wakeQ.push(m.wake, at)
-			a.p.markDirty(t.hid)
 		case arbFin:
 			// DCT-bound traffic pays the destination shard's chain
 			// distance on top of the arbiter hop (shard 0 is adjacent).
 			d := a.p.dct[m.fin.vm.DCT]
 			d.finQ.push(m.fin, at+uint64(m.fin.vm.DCT)*a.timing.ShardHop)
-			a.p.markDirty(d.hid)
 		case arbNewDep:
 			shard := a.p.dctOf(m.dep.addr)
 			d := a.p.dct[shard]
 			d.newDepQ.push(m.dep, at+uint64(shard)*a.timing.ShardHop)
-			a.p.markDirty(d.hid)
 		}
 	}
 }
 
 // nextEvent returns the earliest cycle at which the arbiter can route
 // its next message (it has no busy timer — only message visibility gates
-// it).
-func (a *arbiter) nextEvent() (uint64, bool) { return a.in.headAt() }
-
-func (a *arbiter) active(now uint64) bool { return !a.in.empty() }
+// it), or noEvent.
+func (a *arbiter) nextEvent() uint64 { return a.in.headAt() }
 
 // arbEntry is one queued message of the visibility-ordered arbiter.
 type arbEntry struct {
@@ -161,15 +157,14 @@ func (q *arbHeap) pop(now uint64) (arbMsg, bool) {
 	return m, true
 }
 
-// headAt returns the earliest visibility stamp over all queued messages.
-func (q *arbHeap) headAt() (uint64, bool) {
+// headAt returns the earliest visibility stamp over all queued
+// messages, or noEvent when none is queued.
+func (q *arbHeap) headAt() uint64 {
 	if len(q.h) == 0 {
-		return 0, false
+		return noEvent
 	}
-	return q.h[0].at, true
+	return q.h[0].at
 }
-
-func (q *arbHeap) empty() bool { return len(q.h) == 0 }
 
 // reset drops all messages and restarts issue numbering, keeping the
 // backing storage.

@@ -53,7 +53,7 @@ type dctUnit struct {
 	busyUntil    uint64 // registration engine
 	busyUntilFin uint64 // release engine (overlapped in the prototype)
 	busy         uint64
-	hid          int32 // horizon slot
+	hid          int32 // horizon key slot
 }
 
 // stallKind labels why a dependence cannot be stored, i.e. which Stats
@@ -114,7 +114,6 @@ func (u *dctUnit) step(now uint64) {
 		if !ok {
 			break
 		}
-		u.p.markDirty(u.hid)
 		u.handleFinish(pkt, now)
 	}
 	// Sidetrack retry port: the parked dependence retries once per cycle
@@ -135,7 +134,6 @@ func (u *dctUnit) step(now uint64) {
 				// count the same dependence twice.
 				u.headStalled = false
 				u.stall = stallNone
-				u.p.markDirty(u.hid)
 			} else {
 				u.parkedStall = kind
 			}
@@ -181,17 +179,13 @@ func (u *dctUnit) step(now uint64) {
 			u.headStalled = false
 			u.conflictCounted = false
 			u.stall = stallNone
-			u.p.markDirty(u.hid)
 			u.busyUntil = now + 1
 			u.p.noteBusy(u.busyUntil)
 			return
 		}
 		// Stalled: retry next cycle, and drop the head from the horizon —
 		// only a release can make the retry succeed.
-		if !u.headStalled {
-			u.headStalled = true
-			u.p.markDirty(u.hid)
-		}
+		u.headStalled = true
 		if kind == stallVMFull {
 			if !u.conflictCounted {
 				u.p.stats.VMStallEvents++
@@ -236,7 +230,6 @@ func (u *dctUnit) consume(now, cost uint64) uint64 {
 	}
 	u.busyUntil = now + cost
 	u.busy += cost
-	u.p.markDirty(u.hid)
 	u.p.noteBusy(u.busyUntil)
 	return u.busyUntil
 }
@@ -389,7 +382,6 @@ func (u *dctUnit) handleFinish(pkt finishDepPkt, now uint64) {
 		// registration engine is mid-operation: owe a retry at the cycle
 		// it frees (see parkedRetryAt).
 		u.parkedRetryAt = u.busyUntil
-		u.p.markDirty(u.hid)
 	}
 	v := u.vm.at(pkt.vm.Idx)
 	if !v.used {
@@ -445,39 +437,19 @@ func (u *dctUnit) completeVersion(idx uint16, at uint64) {
 
 // nextEvent returns the earliest cycle at which the DCT can make
 // progress on its own: a release on the finish engine, a registration
-// on the new-dependence engine, or an owed parked retry. A stalled head
-// and a parked sidetrack dependence are otherwise excluded — their
-// retries cannot succeed until a release (an event in its own right)
-// frees space, and the stall cycles they would burn in between are
-// charged by chargeStall using the recorded stall kinds.
-func (u *dctUnit) nextEvent() (uint64, bool) {
-	next, ok := uint64(0), false
-	if at, qok := u.finQ.headAt(); qok {
-		next, ok = max(at, u.busyUntilFin), true
-	}
-	if at, qok := u.newDepQ.headAt(); qok && !u.headStalled {
-		if c := max(at, u.busyUntil); !ok || c < next {
-			next, ok = c, true
-		}
+// on the new-dependence engine, or an owed parked retry; noEvent when
+// none is pending. A stalled head and a parked sidetrack dependence are
+// otherwise excluded — their retries cannot succeed until a release (an
+// event in its own right) frees space, and the stall cycles they would
+// burn in between are charged by chargeStall using the recorded stall
+// kinds.
+func (u *dctUnit) nextEvent() uint64 {
+	next := max(u.finQ.headAt(), u.busyUntilFin)
+	if !u.headStalled {
+		next = min(next, max(u.newDepQ.headAt(), u.busyUntil))
 	}
 	if u.hasParked && u.parkedRetryAt > 0 {
-		if !ok || u.parkedRetryAt < next {
-			next, ok = u.parkedRetryAt, true
-		}
+		next = min(next, u.parkedRetryAt)
 	}
-	return next, ok
-}
-
-// active reports pending work. A stalled head or a parked dependence
-// with nothing else going on does not count as active: only an external
-// finish can unblock either.
-func (u *dctUnit) active(now uint64) bool {
-	if u.busyUntil > now || u.busyUntilFin > now || !u.finQ.empty() {
-		return true
-	}
-	if u.newDepQ.empty() {
-		return false
-	}
-	// A blocked head only unblocks via external finish notifications.
-	return !u.headStalled
+	return next
 }

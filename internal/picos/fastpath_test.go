@@ -130,7 +130,9 @@ func driveTo(t *testing.T, p *Picos, tasks []trace.Task, hold, horizon uint64, f
 // cycle — same statistics, clock, in-flight count, ready set and pop
 // schedule — at a range of horizons. The held rows keep the GW blocked
 // on TM slots or VM credits and the DCT stalled on a full DM set or VM,
-// so they pin every signal that lets a blocked unit retry.
+// so they pin every signal that lets a blocked unit retry. The
+// zero-pipes row lets a packet become routable in the cycle it is sent,
+// so a unit must step in the same cycle another unit fed it.
 func TestRunToMatchesStep(t *testing.T) {
 	credits := DefaultConfig()
 	credits.VMReserve = 400 // 112 credits: admission runs out of credits before TM slots
@@ -153,6 +155,7 @@ func TestRunToMatchesStep(t *testing.T) {
 		{"gw-slots", slots, holdTasks(600, 0), 20_000, []uint64{30_000, 100_000}, gwBlocked},
 		{"gw-credits", credits, holdTasks(600, 1), 20_000, []uint64{30_000, 150_000}, gwBlocked},
 		{"dct-last-vm", lastVM, lastVMTasks(), 0, []uint64{2_000, 10_000}, vmStalled},
+		{"zero-pipes", zeroPipeConfig(), keysTasks(300), 400, []uint64{64, 1000, 10_000, 60_000}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var last Stats

@@ -6,9 +6,15 @@ import "repro/internal/queue"
 // with extra latency d becomes poppable at cycle c+d (d >= 1 models the
 // output register). Every inter-unit channel in the model is a regFIFO,
 // which makes the per-cycle evaluation order of units irrelevant.
+//
+// Each FIFO is wired (rebuildHorizon) to its owner's horizon key and to
+// the busy timer that gates the owner's consumption of its head: a push
+// is the only way input reaches a unit from outside, so the push is
+// where the owner's key learns of it (see horizon.go).
 type regFIFO[T any] struct {
-	q         queue.FIFO[stamped[T]]
-	highwater int
+	q    queue.FIFO[stamped[T]]
+	key  *uint64 // the owner's horizon key
+	gate *uint64 // the owner's busy timer holding this FIFO's head
 }
 
 type stamped[T any] struct {
@@ -16,18 +22,21 @@ type stamped[T any] struct {
 	v  T
 }
 
-// push enqueues v, visible at cycle `at`.
-func (f *regFIFO[T]) push(v T, at uint64) {
-	f.q.Push(stamped[T]{at: at, v: v})
-	if f.q.Len() > f.highwater {
-		f.highwater = f.q.Len()
-	}
-}
+// wire connects the FIFO to its owner's horizon key and gating timer.
+func (f *regFIFO[T]) wire(key, gate *uint64) { f.key, f.gate = key, gate }
 
-// ready reports whether an element is poppable at cycle now.
-func (f *regFIFO[T]) ready(now uint64) bool {
-	head, ok := f.q.Peek()
-	return ok && head.at <= now
+// push enqueues v, visible at cycle `at`. A push into an empty FIFO
+// gives the owner a new head, consumable at max(at, gate), and lowers
+// its key there; a push behind an existing head changes nothing the
+// owner's nextEvent reads. An unwired FIFO panics here: every unit
+// input must feed a key.
+//
+//picos:hotpath
+func (f *regFIFO[T]) push(v T, at uint64) {
+	if f.q.Empty() {
+		lower(f.key, max(at, *f.gate))
+	}
+	f.q.Push(stamped[T]{at: at, v: v})
 }
 
 // pop removes and returns the head if it is visible at cycle now.
@@ -52,26 +61,20 @@ func (f *regFIFO[T]) peek(now uint64) (T, bool) {
 }
 
 // headAt returns the visibility stamp of the head element, whether or
-// not it is visible yet. Units pop strictly in order, so the head's
-// stamp is exactly the earliest cycle this channel can deliver input —
-// the quantity the event-driven fast path folds into nextEvent().
-func (f *regFIFO[T]) headAt() (uint64, bool) {
+// not it is visible yet, or noEvent when the FIFO is empty. Units pop
+// strictly in order, so the head's stamp is exactly the earliest cycle
+// this channel can deliver input — the quantity nextEvent() folds in.
+func (f *regFIFO[T]) headAt() uint64 {
 	head, ok := f.q.Peek()
 	if !ok {
-		return 0, false
+		return noEvent
 	}
-	return head.at, true
+	return head.at
 }
 
-// reset drops all elements and the highwater mark, keeping the backing
-// storage — the Reset path's way of recycling channel buffers.
-func (f *regFIFO[T]) reset() {
-	f.q.Reset()
-	f.highwater = 0
-}
+// reset drops all elements, keeping the backing storage and the wiring
+// — the Reset path's way of recycling channel buffers.
+func (f *regFIFO[T]) reset() { f.q.Reset() }
 
 // len returns the number of queued elements (visible or not).
 func (f *regFIFO[T]) len() int { return f.q.Len() }
-
-// empty reports whether the FIFO holds no elements at all.
-func (f *regFIFO[T]) empty() bool { return f.q.Empty() }

@@ -38,7 +38,7 @@ type gateway struct {
 	blocked      bool   // admission-blocked on the head of newQ
 	blockedAt    uint64 // cycle the current blocked stretch began
 	need         []int  // admit scratch: per-DCT credit demand
-	hid          int32  // horizon slot
+	hid          int32  // horizon key slot
 
 	// retry records that a credit came back or a TM slot was freed since
 	// the last admission attempt: only those can turn a refusal into an
@@ -109,11 +109,8 @@ func (g *gateway) step(now uint64) {
 		done := now + g.timing.GWFinTask
 		g.busyUntilFin = done
 		g.busy += g.timing.GWFinTask
-		p.markDirty(g.hid)
 		p.noteBusy(done)
-		t := p.trs[h.TRS]
-		t.finTaskQ.push(finishedTaskPkt{slot: h.Slot}, done+g.timing.GWFinPipe)
-		p.markDirty(t.hid)
+		p.trs[h.TRS].finTaskQ.push(finishedTaskPkt{slot: h.Slot}, done+g.timing.GWFinPipe)
 	}
 	for g.busyUntil <= now {
 		t, ok := g.newQ.peek(now)
@@ -130,7 +127,6 @@ func (g *gateway) step(now uint64) {
 			g.blocked = false
 			f.RefusedIDs = append(f.RefusedIDs, t.id)
 			f.Fired = true
-			p.markDirty(g.hid)
 			continue
 		}
 		g.retry = false
@@ -141,7 +137,6 @@ func (g *gateway) step(now uint64) {
 				// frees resources.
 				g.blocked = true
 				g.blockedAt = now
-				p.markDirty(g.hid)
 			}
 			p.stats.GWBlockedCycles++
 			g.busyUntil = now + 1
@@ -159,14 +154,11 @@ func (g *gateway) step(now uint64) {
 		}
 		g.busyUntil = now + cost
 		g.busy += cost
-		p.markDirty(g.hid)
 		p.noteBusy(g.busyUntil)
 
 		handle := TaskHandle{TRS: trsID, Slot: slot}
-		tu := p.trs[trsID]
-		tu.newQ.push(newTaskPkt{slot: slot, id: t.id, numDeps: uint8(len(t.deps))},
+		p.trs[trsID].newQ.push(newTaskPkt{slot: slot, id: t.id, numDeps: uint8(len(t.deps))},
 			now+g.timing.GWNewTask+g.timing.GWPipe)
-		p.markDirty(tu.hid)
 		sharded := len(p.dct) > 1
 		for i, d := range t.deps {
 			at := now + g.timing.GWNewTask + uint64(i+1)*g.timing.GWPerDep + g.timing.GWPipe
@@ -185,9 +177,7 @@ func (g *gateway) step(now uint64) {
 				continue
 			}
 			// A single DCT keeps the prototype's direct GW->DCT wiring.
-			du := p.dct[p.dctOf(d.Addr)]
-			du.newDepQ.push(pkt, at)
-			p.markDirty(du.hid)
+			p.dct[p.dctOf(d.Addr)].newDepQ.push(pkt, at)
 		}
 		p.stats.TasksAdmitted++
 		if inFlight := p.InFlight(); inFlight > p.stats.MaxInFlightTasks {
@@ -252,43 +242,19 @@ func (g *gateway) admit(deps []trace.Dep) (uint8, uint16, bool) {
 
 // nextEvent returns the earliest cycle at which the GW can make progress
 // on its own: drain a finished task or take the head of the new-task
-// queue. A blocked head is excluded — only an external finish (arriving
-// through some other unit's event) can unblock it, and the per-cycle
-// retries it would burn in between are charged by chargeStall.
-func (g *gateway) nextEvent() (uint64, bool) {
-	next, ok := uint64(0), false
-	if at, qok := g.finQ.headAt(); qok {
-		next, ok = max(at, g.busyUntilFin), true
+// queue; noEvent when it never will. A blocked head is excluded — only
+// an external finish (arriving through some other unit's event) can
+// unblock it, and the per-cycle retries it would burn in between are
+// charged by chargeStall.
+func (g *gateway) nextEvent() uint64 {
+	next := max(g.finQ.headAt(), g.busyUntilFin)
+	if !g.blocked {
+		next = min(next, max(g.newQ.headAt(), g.busyUntil))
+	} else if f := g.p.cfg.Faults; f != nil && f.Degrade > 0 {
+		// A blocked head under degrade recovery makes progress on its
+		// own: the refusal pop fires at the end of the degrade window,
+		// so the deadline is a real event the fast path must step at.
+		next = min(next, g.blockedAt+f.Degrade)
 	}
-	if at, qok := g.newQ.headAt(); qok && !g.blocked {
-		if c := max(at, g.busyUntil); !ok || c < next {
-			next, ok = c, true
-		}
-	}
-	// A blocked head under degrade recovery makes progress on its own:
-	// the refusal pop fires at the end of the degrade window, so the
-	// deadline is a real event the fast path must step at.
-	if f := g.p.cfg.Faults; f != nil && f.Degrade > 0 && g.blocked {
-		if c := g.blockedAt + f.Degrade; !ok || c < next {
-			next, ok = c, true
-		}
-	}
-	return next, ok
-}
-
-// active: the GW has work it can still make progress on by itself.
-func (g *gateway) active(now uint64) bool {
-	if g.busyUntil > now || g.busyUntilFin > now || !g.finQ.empty() {
-		return true
-	}
-	if g.newQ.empty() {
-		return false
-	}
-	// A blocked head only unblocks via external finish notifications —
-	// unless degrade recovery is armed, in which case the refusal pop
-	// at the window deadline is progress the GW makes by itself.
-	if f := g.p.cfg.Faults; f != nil && f.Degrade > 0 {
-		return true
-	}
-	return !g.blocked
+	return next
 }

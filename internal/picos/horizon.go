@@ -1,15 +1,24 @@
 package picos
 
-// The incremental event horizon. Every unit (gateway, TRSs, DCTs, TS,
-// arbiter) owns a slot in a flat key array holding its nextEvent()
-// horizon — the earliest cycle it can make progress on its own. Keys are
-// refreshed lazily: any state change that can move a horizon (a queue
-// push, a pop, a busy-timer update, a blocked/stalled transition) marks
-// the unit dirty, and the next NextEvent/Idle call re-polls just the
-// dirty units before scanning the keys for the minimum. The machine has
-// 3 + NumTRS + NumDCT units (5 in the paper's build), so a linear scan
-// of the keys is cheaper than keeping them in a heap: planning a wake
-// costs one nextEvent() per dirty unit plus one pass over a few words.
+// The event horizon. Every unit (gateway, TRSs, DCTs, TS, arbiter) owns
+// a slot in the flat key array p.hkey that holds its nextEvent() — the
+// earliest cycle it can make progress on its own, or noEvent. As in the
+// prototype, where a unit learns of new work only when one of its input
+// FIFOs turns non-empty, a key moves in exactly two places:
+//
+//   - Step and stepDue rekey each unit they step, with a direct call to
+//     its nextEvent(). Only a unit's own step pops its inputs, moves its
+//     busy timers or sets its blocked and stalled flags.
+//   - A push into an empty regFIFO, and every arbiter.route, lowers the
+//     owner's key to max(stamp, gate), where the gate is the busy timer
+//     holding that input's head (the arbiter heap has none). A push
+//     behind an existing head moves nothing nextEvent() reads.
+//
+// Both are exact, not conservative: a FIFO is empty only when no
+// stalled or blocked head sits in it (headStalled and blocked clear when
+// their head leaves), so the new head always counts in full. NextEvent
+// and Idle are a min-scan of the 3 + NumTRS + NumDCT keys (5 in the
+// paper's build), and stepDue steps exactly the units whose key is due.
 //
 // Idle() rides the same keys: "no unit can ever act again" is exactly
 // "no key holds a horizon", and "some unit is mid-operation" is tracked
@@ -17,60 +26,53 @@ package picos
 // because timers are always set to now+cost and the clock never
 // rewinds).
 
-// horizonUnit is the per-unit polling surface of the scheduler.
-type horizonUnit interface {
-	// nextEvent returns the earliest cycle the unit can make progress
-	// without external input; ok is false when it never will (blocked or
-	// stalled heads excluded, as documented on each implementation).
-	nextEvent() (uint64, bool)
-}
-
 // noEvent is the key of a unit with no self-driven future event.
 const noEvent = ^uint64(0)
 
-// rebuildHorizon (re)derives the keys from the current unit set: all
-// queues are empty at build/Reset time, so every key starts at noEvent.
+// rebuildHorizon (re)assigns every unit its key slot and wires each
+// input FIFO to its owner's key and gating timer. All queues are empty
+// at build/Reset time, so every key starts at noEvent.
 func (p *Picos) rebuildHorizon() {
-	p.units = p.units[:0]
-	add := func(u horizonUnit) int32 {
-		id := int32(len(p.units))
-		p.units = append(p.units, u)
-		return id
-	}
-	p.gw.hid = add(p.gw)
-	for _, t := range p.trs {
-		t.hid = add(t)
-	}
-	for _, d := range p.dct {
-		d.hid = add(d)
-	}
-	p.ts.hid = add(p.ts)
-	p.arb.hid = add(p.arb)
-
-	n := len(p.units)
+	n := 3 + len(p.trs) + len(p.dct)
 	if cap(p.hkey) < n {
 		p.hkey = make([]uint64, n)
-		p.hdirty = make([]bool, n)
-		p.hdlist = make([]int32, 0, n)
-	} else {
-		p.hkey = p.hkey[:n]
-		p.hdirty = p.hdirty[:n]
 	}
-	for i := 0; i < n; i++ {
+	p.hkey = p.hkey[:n]
+	for i := range p.hkey {
 		p.hkey[i] = noEvent
-		p.hdirty[i] = false
 	}
-	p.hdlist = p.hdlist[:0]
+	id := int32(0)
+	g := p.gw
+	g.hid = id
+	g.newQ.wire(&p.hkey[id], &g.busyUntil)
+	g.finQ.wire(&p.hkey[id], &g.busyUntilFin)
+	for _, t := range p.trs {
+		id++
+		t.hid = id
+		t.newQ.wire(&p.hkey[id], &t.busyUntil)
+		t.statusQ.wire(&p.hkey[id], &t.busyUntil)
+		t.wakeQ.wire(&p.hkey[id], &t.busyUntil)
+		t.finTaskQ.wire(&p.hkey[id], &t.busyUntil)
+	}
+	for _, d := range p.dct {
+		id++
+		d.hid = id
+		d.newDepQ.wire(&p.hkey[id], &d.busyUntil)
+		d.finQ.wire(&p.hkey[id], &d.busyUntilFin)
+	}
+	id++
+	p.ts.hid = id
+	p.ts.inQ.wire(&p.hkey[id], &p.ts.busyUntil)
+	id++
+	p.arb.hid = id
 }
 
-// markDirty schedules a unit for re-polling at the next horizon read.
+// lower moves a key down to at: its unit gained an input it can consume
+// at cycle at.
 //
 //picos:hotpath
-func (p *Picos) markDirty(id int32) {
-	if !p.hdirty[id] {
-		p.hdirty[id] = true
-		p.hdlist = append(p.hdlist, id)
-	}
+func lower(key *uint64, at uint64) {
+	*key = min(*key, at)
 }
 
 // noteBusy records a busy-timer deadline; Idle() is false until the
@@ -83,20 +85,11 @@ func (p *Picos) noteBusy(until uint64) {
 	}
 }
 
-// horizon re-polls every dirty unit and returns the earliest key, or
-// noEvent when no unit has a self-driven future event.
+// horizon returns the earliest key, or noEvent when no unit has a
+// self-driven future event.
 //
 //picos:hotpath
 func (p *Picos) horizon() uint64 {
-	for _, id := range p.hdlist {
-		p.hdirty[id] = false
-		key := noEvent
-		if at, ok := p.units[id].nextEvent(); ok {
-			key = at
-		}
-		p.hkey[id] = key
-	}
-	p.hdlist = p.hdlist[:0]
 	earliest := noEvent
 	for _, key := range p.hkey {
 		earliest = min(earliest, key)

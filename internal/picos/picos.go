@@ -193,13 +193,10 @@ type Picos struct {
 	arb *arbiter
 	ts  *tsUnit
 
-	// Incremental event-horizon state (see horizon.go): the per-unit
-	// horizon keys, the dirty-unit set awaiting a re-poll, and the
-	// busy-timer high-water mark that lets Idle() skip every queue scan.
-	units   []horizonUnit
+	// Event-horizon state (see horizon.go): the per-unit horizon keys
+	// and the busy-timer high-water mark that lets Idle() skip every
+	// queue scan.
 	hkey    []uint64
-	hdirty  []bool
-	hdlist  []int32
 	maxBusy uint64
 
 	stats Stats
@@ -343,62 +340,73 @@ func (p *Picos) Now() uint64 { return p.now }
 // scheduling cleverness so the cycle-stepped loop stays the ground
 // truth the event-driven fast path is differentially tested against.
 // Unit evaluation order is irrelevant because every channel is a
-// registered FIFO. (The fast path advances with stepDue instead, which
-// skips units the horizon keys prove cannot act; the two are
-// equivalent by construction and by the equivalence suite.)
+// registered FIFO. Each unit is rekeyed right after its step, so the
+// horizon keys stay exact under either loop. (The fast path advances
+// with stepDue instead, which skips units the keys prove cannot act;
+// the two are equivalent by construction and by the equivalence suite.)
 //
 //picos:hotpath
 func (p *Picos) Step() {
 	now := p.now
 	for _, d := range p.dct {
 		d.step(now)
+		p.hkey[d.hid] = d.nextEvent()
 	}
 	for _, t := range p.trs {
 		t.step(now)
+		p.hkey[t.hid] = t.nextEvent()
 	}
 	p.ts.step(now)
+	p.hkey[p.ts.hid] = p.ts.nextEvent()
 	p.arb.step(now)
+	p.hkey[p.arb.hid] = p.arb.nextEvent()
 	p.gw.step(now)
+	p.hkey[p.gw.hid] = p.gw.nextEvent()
 	p.now++
 }
 
 // stepDue advances the model by one cycle like Step, but only evaluates
-// units that can possibly act: the horizon key says the unit is due, or
-// it is dirty (its key may be stale, so stepping is the conservative
-// choice; an early-stamped queue can never make a unit act before the
-// head's visibility cycle, so a skipped unit's step is provably a
-// no-op). A blocked GW is also stepped when gw.retry says a credit came
-// back or a TM slot was freed earlier in this cycle (DCTs and TRSs step
-// before the GW). Any other retry of a blocked GW, or of a stalled or
-// parked DCT dependence, would re-fail with the answer it gave last — a
-// DCT's answer changes only with its own DM and VM, at its own release
-// events or at a retry a registration owes through parkedRetryAt — so
-// stepDue charges the cycle's stall counters without running the unit,
-// exactly as skipTo does.
+// the units whose horizon key is due: a key is exact (horizon.go), and
+// a unit whose nextEvent lies in the future provably cannot act this
+// cycle, since an early-stamped queue can never deliver before its
+// head's visibility cycle. A blocked GW is also stepped when gw.retry
+// says a credit came back or a TM slot was freed earlier in this cycle
+// (DCTs and TRSs step before the GW). Any other retry of a blocked GW,
+// or of a stalled or parked DCT dependence, would re-fail with the
+// answer it gave last — a DCT's answer changes only with its own DM and
+// VM, at its own release events or at a retry a registration owes
+// through parkedRetryAt — so stepDue charges the cycle's stall counters
+// without running the unit, exactly as skipTo does. Every stepped unit
+// is rekeyed right after its step.
 //
 //picos:hotpath
 func (p *Picos) stepDue() {
 	now := p.now
 	for _, d := range p.dct {
-		if p.hkey[d.hid] <= now || p.hdirty[d.hid] {
+		if p.hkey[d.hid] <= now {
 			d.step(now)
+			p.hkey[d.hid] = d.nextEvent()
 		} else {
 			d.chargeStall(1)
 		}
 	}
 	for _, t := range p.trs {
-		if p.hkey[t.hid] <= now || p.hdirty[t.hid] {
+		if p.hkey[t.hid] <= now {
 			t.step(now)
+			p.hkey[t.hid] = t.nextEvent()
 		}
 	}
-	if p.hkey[p.ts.hid] <= now || p.hdirty[p.ts.hid] {
-		p.ts.step(now)
+	if ts := p.ts; p.hkey[ts.hid] <= now {
+		ts.step(now)
+		p.hkey[ts.hid] = ts.nextEvent()
 	}
-	if p.hkey[p.arb.hid] <= now || p.hdirty[p.arb.hid] {
-		p.arb.step(now)
+	if a := p.arb; p.hkey[a.hid] <= now {
+		a.step(now)
+		p.hkey[a.hid] = a.nextEvent()
 	}
-	if g := p.gw; g.blocked && g.retry || p.hkey[g.hid] <= now || p.hdirty[g.hid] {
+	if g := p.gw; g.blocked && g.retry || p.hkey[g.hid] <= now {
 		g.step(now)
+		p.hkey[g.hid] = g.nextEvent()
 	} else {
 		g.chargeStall(1)
 	}
@@ -413,8 +421,8 @@ func (p *Picos) stepDue() {
 // Submit/NotifyFinish (admission-blocked and conflict-stalled heads do
 // not count: their per-cycle retries provably re-fail until an external
 // finish frees resources, and skipping them is what the fast path is
-// for). Only units whose state changed since the last call are
-// re-polled; the answer is a linear scan of the per-unit keys.
+// for). The keys are kept exact as units step and inputs arrive, so the
+// answer is one linear scan of them.
 //
 //picos:hotpath
 func (p *Picos) NextEvent() (uint64, bool) {
@@ -619,7 +627,6 @@ func (p *Picos) Submit(id uint32, deps []trace.Dep) error {
 		return ErrNewQFull
 	}
 	p.gw.newQ.push(submittedTask{id: id, deps: deps}, p.now+1)
-	p.markDirty(p.gw.hid)
 	p.stats.TasksSubmitted++
 	return nil
 }
@@ -635,7 +642,6 @@ func (p *Picos) NewQRoom() bool {
 // NotifyFinish returns a finished task to the GW (F1).
 func (p *Picos) NotifyFinish(h TaskHandle) {
 	p.gw.finQ.push(h, p.now+1)
-	p.markDirty(p.gw.hid)
 }
 
 // PopReady hands one ready task to a worker, if any is dispatchable.
@@ -658,10 +664,10 @@ func (p *Picos) InFlight() int {
 // Idle reports that stepping without external input cannot change state:
 // every unit is quiescent and every queue is empty, except for
 // admission-blocked or conflict-stalled heads that only an external
-// finish can release. The check reads the horizon keys: a unit is
-// active exactly when it has a future event or a running busy timer, so
-// "no horizon anywhere and the clock has passed every busy deadline" is
-// the whole condition.
+// finish can release. The check reads the exact horizon keys: a unit
+// is active exactly when it has a future event or a running busy timer,
+// so "no key holds a horizon and the clock has passed every busy
+// deadline" is the whole condition.
 //
 //picos:hotpath
 func (p *Picos) Idle() bool {

@@ -17,7 +17,7 @@ type trsUnit struct {
 
 	busyUntil uint64
 	busy      uint64 // accumulated busy cycles (stats)
-	hid       int32  // horizon slot
+	hid       int32  // horizon key slot
 }
 
 func newTRS(id uint8, p *Picos) *trsUnit {
@@ -81,7 +81,6 @@ func (u *trsUnit) consume(now, cost uint64) uint64 {
 	}
 	u.busyUntil = now + cost
 	u.busy += cost
-	u.p.markDirty(u.hid)
 	u.p.noteBusy(u.busyUntil)
 	return u.busyUntil
 }
@@ -156,7 +155,6 @@ func (u *trsUnit) maybeReady(slot uint16, e *tmEntry, at uint64) {
 	}
 	e.sent = true
 	u.p.ts.inQ.push(readyTaskPkt{task: TaskHandle{TRS: u.id, Slot: slot}, id: e.id}, at+u.timing.TRSPipe)
-	u.p.markDirty(u.p.ts.hid)
 }
 
 // handleFinishedTask performs the finish walk (F3): read TM0, emit one
@@ -182,26 +180,8 @@ func (u *trsUnit) handleFinishedTask(pkt finishedTaskPkt, now uint64) {
 
 // nextEvent returns the earliest cycle at which the TRS can process its
 // next packet: the earliest queue-head visibility, gated by the unit's
-// busy timer.
-func (u *trsUnit) nextEvent() (uint64, bool) {
-	next, ok := uint64(0), false
-	consider := func(at uint64, qok bool) {
-		if !qok {
-			return
-		}
-		if c := max(at, u.busyUntil); !ok || c < next {
-			next, ok = c, true
-		}
-	}
-	consider(u.newQ.headAt())
-	consider(u.statusQ.headAt())
-	consider(u.wakeQ.headAt())
-	consider(u.finTaskQ.headAt())
-	return next, ok
-}
-
-// active reports whether the unit has pending input or is mid-operation.
-func (u *trsUnit) active(now uint64) bool {
-	return u.busyUntil > now ||
-		!u.newQ.empty() || !u.statusQ.empty() || !u.wakeQ.empty() || !u.finTaskQ.empty()
+// busy timer, or noEvent when every queue is empty.
+func (u *trsUnit) nextEvent() uint64 {
+	head := min(u.newQ.headAt(), u.statusQ.headAt(), u.wakeQ.headAt(), u.finTaskQ.headAt())
+	return max(head, u.busyUntil)
 }

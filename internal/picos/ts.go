@@ -36,7 +36,7 @@ type tsUnit struct {
 
 	busyUntil uint64
 	busy      uint64
-	hid       int32 // horizon slot
+	hid       int32 // horizon key slot
 }
 
 func newTS(p *Picos) *tsUnit {
@@ -62,7 +62,6 @@ func (u *tsUnit) step(now uint64) {
 		done := now + u.timing.TSDispatch
 		u.busyUntil = done
 		u.busy += u.timing.TSDispatch
-		u.p.markDirty(u.hid)
 		u.p.noteBusy(done)
 		item := stamped[ReadyTask]{at: done + u.timing.TSPipe, v: ReadyTask{Handle: pkt.task, ID: pkt.id}}
 		if u.policy == SchedLIFO {
@@ -94,14 +93,8 @@ func (u *tsUnit) popReady(now uint64) (ReadyTask, bool) {
 func (u *tsUnit) readyLen() int { return u.fifo.Len() + u.lifo.Len() }
 
 // nextEvent returns the earliest cycle at which the TS can queue its
-// next ready task.
-func (u *tsUnit) nextEvent() (uint64, bool) {
-	at, ok := u.inQ.headAt()
-	if !ok {
-		return 0, false
-	}
-	return max(at, u.busyUntil), true
-}
+// next ready task, or noEvent.
+func (u *tsUnit) nextEvent() uint64 { return max(u.inQ.headAt(), u.busyUntil) }
 
 // nextReadyAt returns the cycle the current dispatch candidate becomes
 // poppable: the head of the FIFO or the top of the LIFO, exactly the
@@ -118,8 +111,4 @@ func (u *tsUnit) nextReadyAt() (uint64, bool) {
 		return it.at, true
 	}
 	return 0, false
-}
-
-func (u *tsUnit) active(now uint64) bool {
-	return u.busyUntil > now || !u.inQ.empty()
 }
