@@ -8,6 +8,9 @@
 //	picos-bench -exp table4            # one experiment
 //	picos-bench -exp all               # everything (long: full Figure 11)
 //	picos-bench -exp fig8 -quick       # reduced sweep for smoke runs
+//	picos-bench -exp shard-capacity -plot
+//	                                   # tables plus their ASCII charts
+//	                                   # and heatmaps
 //	picos-bench -list                  # list experiment names
 //	picos-bench -quick -json           # time every experiment with the
 //	                                   # fast path on and off, emit JSON
@@ -43,9 +46,9 @@ type benchEntry struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1..table4, fig1, fig8..fig11, capacity-map, or 'all')")
+	exp := flag.String("exp", "all", "experiment to run (one of -list, or 'all')")
 	quick := flag.Bool("quick", false, "reduced parameter sweeps")
-	plot := flag.Bool("plot", false, "render sweep results as ASCII charts too")
+	plot := flag.Bool("plot", false, "render sweep results as ASCII charts and heatmaps too")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	cycleStep := flag.Bool("cyclestep", false, "force the per-cycle reference loop (debug; results are identical)")
 	jsonOut := flag.Bool("json", false, "time each experiment fast-path on vs off and emit JSON instead of tables (-cyclestep and -plot do not apply)")
@@ -89,12 +92,9 @@ func main() {
 				os.Exit(1)
 			}
 			if *plot {
-				if c := t.Chart(); c != nil {
-					if err := c.Render(os.Stdout); err != nil {
-						fmt.Fprintf(os.Stderr, "picos-bench: %v\n", err)
-						os.Exit(1)
-					}
-					fmt.Println()
+				if err := t.Plot(os.Stdout); err != nil {
+					fmt.Fprintf(os.Stderr, "picos-bench: %v\n", err)
+					os.Exit(1)
 				}
 			}
 		}

@@ -34,7 +34,6 @@ func main() {
 		workload = flag.String("workload", "", "any workload-registry name, incl. pattern:<family>?width=..&steps=.. (instead of -app/-case)")
 		traceIn  = flag.String("trace", "", "read a serialized trace instead of generating one")
 		engine   = flag.String("engine", "picos-hw", "engine: "+strings.Join(sim.Engines(), ", "))
-		mode     = flag.String("mode", "", "legacy picos HIL mode alias: hw, comm, full (use -engine picos-<mode>)")
 		dm       = flag.String("dm", "", "DM design: 8way, 16way, p8way (default p8way)")
 		policy   = flag.String("ts", "", "task scheduler policy: fifo (default), lifo")
 		workers  = flag.Int("workers", sim.DefaultWorkers, "worker count")
@@ -62,23 +61,8 @@ func main() {
 	)
 	flag.Parse()
 
-	// Back-compat: "-engine picos -mode full" style invocations map onto
-	// the registry names picos-hw / picos-comm / picos-full. -mode only
-	// ever applied to the picos engine; combined with anything else it is
-	// a contradiction, not something to silently override.
-	eng := *engine
-	switch {
-	case eng == "picos" || (*mode != "" && eng == "picos-hw"):
-		m := *mode
-		if m == "" {
-			m = "hw"
-		}
-		eng = "picos-" + m
-	case *mode != "":
-		fail(fmt.Errorf("-mode %s only applies to the picos engine (use -engine picos-%s)", *mode, *mode))
-	}
 	spec := sim.Spec{
-		Engine:        eng,
+		Engine:        *engine,
 		Workload:      workloadName(*traceIn, *app, *caseNo, *workload),
 		Problem:       *problem,
 		Block:         *block,

@@ -17,9 +17,8 @@
 // arm) and the wedge-frontier lane (cells with non-zero fields/k — the
 // dependence-fan sweep that charts where each DM design deadlocks under
 // worst-case address clustering). This example is the single producer
-// of BENCH_patterns.json; the extra lanes render standalone via
-// examples/shard-capacity, examples/hetero-scaling, examples/resilience
-// and examples/wedge-frontier.
+// of BENCH_patterns.json; every lane renders as tables and heatmaps via
+// picos-bench -exp <lane> -plot.
 //
 //	go run ./examples/pattern-capacity-map            # full map + JSON
 //	go run ./examples/pattern-capacity-map -quick     # reduced grid
@@ -51,19 +50,13 @@ func main() {
 		if err := t.Fprint(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-	}
-	for _, hm := range experiments.CapacityHeatmaps(cells) {
-		if err := hm.Render(os.Stdout); err != nil {
+		if err := t.Plot(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println()
 	}
 
-	// The shard-capacity and hetero-scaling lanes ride along in the same
-	// JSON, keeping this example the single producer of
-	// BENCH_patterns.json. They render standalone via
-	// examples/shard-capacity and examples/hetero-scaling; here they are
-	// data only.
+	// The other lanes ride along in the same JSON, keeping this example
+	// the single producer of BENCH_patterns.json; here they are data only.
 	shardCells, err := experiments.ShardCapacityData(opt)
 	if err != nil {
 		log.Fatal(err)

@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/asciiplot"
 	"repro/internal/patterns"
 	"repro/internal/sim"
 )
 
 func init() {
-	Register("capacity-map", CapacityMap)
+	registerLane("capacity-map", CapacityMapData, CapacityTables)
 }
 
 // capacityFamilies are the dependence-pattern families the capacity map
@@ -111,245 +109,81 @@ func CapacityMapData(opt Options) ([]CapacityCell, error) {
 		engines = engines[:1]
 	}
 
-	type point struct {
-		family, engine, design, layout string
-	}
-	var pts []point
-	var specs []sim.Spec
-	add := func(pt point) {
-		pts = append(pts, pt)
-		specs = append(specs, sim.Spec{
-			Engine:   pt.engine,
-			Workload: capacityPattern(pt.family, pt.layout, opt),
-			Design:   pt.design,
+	var pts []lanePoint
+	add := func(family, engine, design, layout string) {
+		pts = append(pts, lanePoint{
+			spec: sim.Spec{Engine: engine, Workload: capacityPattern(family, layout, opt), Design: design},
+			// The roofline is design- and layout-blind: every layout maps
+			// point buffers to addresses injectively.
+			roof: sim.Spec{Engine: "perfect", Workload: capacityPattern(family, patterns.DefaultLayout, opt)},
+			cell: CapacityCell{Family: family, Design: design, Layout: layout},
 		})
 	}
 	for _, f := range fams {
 		for _, e := range engines {
 			for _, d := range dmDesigns {
-				add(point{f, e, d.spec, patterns.DefaultLayout})
+				add(f, e, d.spec, patterns.DefaultLayout)
 			}
 		}
 	}
 	if !opt.Quick {
 		for _, f := range fams {
 			for _, d := range dmDesigns {
-				add(point{f, "picos-hw", d.spec, "aligned"})
+				add(f, "picos-hw", d.spec, "aligned")
 			}
 		}
 	}
-	// Perfect roofline, one run per family (design-independent).
-	perfectIdx := make(map[string]int, len(fams))
-	for _, f := range fams {
-		perfectIdx[f] = len(specs)
-		pts = append(pts, point{f, "perfect", "", patterns.DefaultLayout})
-		specs = append(specs, sim.Spec{Engine: "perfect", Workload: capacityPattern(f, patterns.DefaultLayout, opt)})
-	}
-
-	// Through the option-aware helper, so the fast-path knob
-	// (Options.CycleStepped) reaches these grid points like every other
-	// experiment's.
-	results, err := sweep(opt, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	cells := make([]CapacityCell, 0, len(pts))
-	for i, pt := range pts {
-		if pt.engine == "perfect" {
-			continue
-		}
-		res := results[i]
-		cell := CapacityCell{
-			Family:   pt.family,
-			Workload: specs[i].Workload,
-			Engine:   pt.engine,
-			Design:   pt.design,
-			Layout:   pt.layout,
-			Wedged:   res.Wedged,
-			WedgedAt: res.WedgedAt,
-			Makespan: res.Makespan,
-			Speedup:  res.Speedup,
-		}
-		if st := res.Stats; st != nil {
-			cell.DMConflicts = st.DMConflicts
-			cell.VMStallEvents = st.VMStallEvents
-			cell.DMConflictStallCycles = st.DMConflictStallCycles
-			cell.VMStallCycles = st.VMStallCycles
-		}
-		if roof := results[perfectIdx[pt.family]]; !res.Wedged && roof.Speedup > 0 {
-			cell.SpeedupVsPerfect = res.Speedup / roof.Speedup
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
+	return runLane(opt, pts, false)
 }
 
-// capacityMetric extracts one heatmap metric from a cell; wedged cells
-// are NaN.
-type capacityMetric struct {
+// capacityMetrics are the heatmap metrics of the capacity map.
+var capacityMetrics = []struct {
 	name string
 	log  bool
 	get  func(CapacityCell) float64
-}
-
-var capacityMetrics = []capacityMetric{
+}{
 	{"#DM conflicts (+VM stall events)", true, func(c CapacityCell) float64 {
 		return float64(c.DMConflicts + c.VMStallEvents)
 	}},
-	{"DM+VM stall cycles", true, func(c CapacityCell) float64 {
-		return float64(c.DMConflictStallCycles + c.VMStallCycles)
-	}},
-	{"speedup vs perfect", false, func(c CapacityCell) float64 { return c.SpeedupVsPerfect }},
+	{"DM+VM stall cycles", true, stallCycles},
+	{"speedup vs perfect", false, vsPerfect},
 }
 
-// distinct collects the distinct key values of the cells that pass the
-// filter, in first-seen order.
-func distinct(cells []CapacityCell, filter func(CapacityCell) bool, key func(CapacityCell) string) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, c := range cells {
-		if filter != nil && !filter(c) {
-			continue
-		}
-		if k := key(c); !seen[k] {
-			seen[k] = true
-			out = append(out, k)
+// designLabel is the paper name of a DM design's spec spelling.
+func designLabel(c CapacityCell) string {
+	for _, d := range dmDesigns {
+		if d.spec == c.Design {
+			return d.label
 		}
 	}
-	return out
+	return c.Design
 }
 
-func hwLane(c CapacityCell) bool { return c.Engine == "picos-hw" }
-
-// CapacityHeatmaps renders family x design heatmaps of the picos-hw
-// lane for each metric, one per layout present in the cells.
-func CapacityHeatmaps(cells []CapacityCell) []*asciiplot.Heatmap {
-	layouts := distinct(cells, hwLane, func(c CapacityCell) string { return c.Layout })
-	var maps []*asciiplot.Heatmap
-	for _, layout := range layouts {
-		fams := distinct(cells,
-			func(c CapacityCell) bool { return hwLane(c) && c.Layout == layout },
-			func(c CapacityCell) string { return c.Family })
-		for _, m := range capacityMetrics {
-			hm := &asciiplot.Heatmap{
-				Title:   fmt.Sprintf("capacity map: %s (picos-hw, %s layout)", m.name, layout),
-				XLabels: designLabels(),
-				YLabels: fams,
-				Log:     m.log,
-				Missing: "XX",
-			}
-			for _, f := range fams {
-				row := make([]float64, len(dmDesigns))
-				for j, d := range dmDesigns {
-					row[j] = math.NaN()
-					for _, c := range cells {
-						if c.Engine == "picos-hw" && c.Layout == layout && c.Family == f && c.Design == d.spec && !c.Wedged {
-							row[j] = m.get(c)
-						}
-					}
-				}
-				hm.Cells = append(hm.Cells, row)
-			}
-			maps = append(maps, hm)
-		}
-	}
-	return maps
-}
-
-func designLabels() []string {
-	out := make([]string, len(dmDesigns))
-	for i, d := range dmDesigns {
-		out[i] = d.label
-	}
-	return out
-}
-
-// CapacityMap is the registry entry: the sweep rendered as tables, one
-// per metric and layout, rows = families, columns = DM designs, with a
-// per-engine speedup view at the shipping P+8way design. Wedged grid
-// points print as WEDGE@<cycle> — machine-consumers get the same
-// information from CapacityMapData.
-func CapacityMap(opt Options) ([]*Table, error) {
-	cells, err := CapacityMapData(opt)
-	if err != nil {
-		return nil, err
-	}
-	return CapacityTables(cells), nil
-}
-
-// CapacityTables renders already-computed capacity cells as tables, so
-// callers that also need the cells (the pattern-capacity-map example)
-// run the sweep exactly once.
+// CapacityTables renders capacity cells as tables: one per layout, rows
+// = families, columns = DM designs on picos-hw, each carrying a heatmap
+// per metric; and, with more than one engine, a per-engine speedup view
+// at the shipping P+8way design. Wedged grid points print as
+// WEDGE@<cycle>. Callers that also need the cells (the
+// pattern-capacity-map example) run the sweep exactly once.
 func CapacityTables(cells []CapacityCell) []*Table {
-	find := func(f, e, d, layout string) *CapacityCell {
-		for i := range cells {
-			c := &cells[i]
-			if c.Family == f && c.Engine == e && c.Design == d && c.Layout == layout {
-				return c
-			}
-		}
-		return nil
-	}
-	fams := distinct(cells, nil, func(c CapacityCell) string { return c.Family })
-	layouts := distinct(cells, nil, func(c CapacityCell) string { return c.Layout })
-	engines := distinct(cells, nil, func(c CapacityCell) string { return c.Engine })
-
 	var tables []*Table
-	for _, layout := range layouts {
-		t := &Table{
-			Title:  fmt.Sprintf("Capacity map (%s layout, picos-hw): conflicts / stall cycles / speedup-vs-perfect per DM design", layout),
-			Header: append([]string{"Family"}, designLabels()...),
-		}
-		for _, f := range fams {
-			row := []string{f}
-			any := false
-			for _, d := range dmDesigns {
-				c := find(f, "picos-hw", d.spec, layout)
-				if c == nil {
-					row = append(row, "-")
-					continue
-				}
-				any = true
-				if c.Wedged {
-					row = append(row, fmt.Sprintf("WEDGE@%d", c.WedgedAt))
-					continue
-				}
-				row = append(row, fmt.Sprintf("%d / %.2g / %.2f",
-					c.DMConflicts+c.VMStallEvents,
-					float64(c.DMConflictStallCycles+c.VMStallCycles),
-					c.SpeedupVsPerfect))
-			}
-			if any {
-				t.Rows = append(t.Rows, row)
-			}
-		}
-		t.Notes = append(t.Notes,
+	for _, layout := range distinct(cells, func(c CapacityCell) string { return c.Layout }) {
+		v := view(cells, func(c CapacityCell) bool { return c.Engine == "picos-hw" && c.Layout == layout }, cellFamily, designLabel)
+		t := v.table(
+			fmt.Sprintf("Capacity map (%s layout, picos-hw): conflicts / stall cycles / speedup-vs-perfect per DM design", layout),
+			"Family", stallText,
 			"each cell: #conflicts (insertions that found their DM set full, +VM exhaustions) / cycles the registration path stalled / speedup normalized to the Perfect roofline")
+		for _, m := range capacityMetrics {
+			t.Heatmaps = append(t.Heatmaps, v.heatmap(fmt.Sprintf("capacity map: %s (picos-hw, %s layout)", m.name, layout), m.log, m.get))
+		}
 		tables = append(tables, t)
 	}
 
-	if len(engines) > 1 {
-		t := &Table{
-			Title:  "Capacity map: speedup by engine (P+8way, malloc layout)",
-			Header: append([]string{"Family"}, engines...),
-		}
-		for _, f := range fams {
-			row := []string{f}
-			for _, e := range engines {
-				c := find(f, e, "p8way", patterns.DefaultLayout)
-				switch {
-				case c == nil:
-					row = append(row, "-")
-				case c.Wedged:
-					row = append(row, fmt.Sprintf("WEDGE@%d", c.WedgedAt))
-				default:
-					row = append(row, fmt.Sprintf("%.2f", c.Speedup))
-				}
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		tables = append(tables, t)
+	engines := view(cells, func(c CapacityCell) bool { return c.Design == "p8way" && c.Layout == patterns.DefaultLayout },
+		cellFamily, func(c CapacityCell) string { return c.Engine })
+	if len(engines.cols) > 1 {
+		tables = append(tables, engines.table("Capacity map: speedup by engine (P+8way, malloc layout)", "Family",
+			orWedge(func(c CapacityCell) string { return f2(c.Speedup) })))
 	}
 	return tables
 }

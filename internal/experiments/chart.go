@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"io"
 	"strconv"
 
 	"repro/internal/asciiplot"
@@ -35,4 +37,26 @@ func (t *Table) Chart() *asciiplot.Chart {
 		return nil
 	}
 	return c
+}
+
+// Plot renders the table's chart, when it has one, and its heatmaps,
+// each followed by a blank line.
+func (t *Table) Plot(w io.Writer) error {
+	if c := t.Chart(); c != nil {
+		if err := c.Render(w); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	for _, hm := range t.Heatmaps {
+		if err := hm.Render(w); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -12,17 +12,20 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/asciiplot"
 	"repro/internal/sim"
 
 	_ "repro/internal/engines"
 )
 
-// Table is a printable experiment result.
+// Table is a printable experiment result. A pattern-family lane's
+// table carries its grid as heatmaps too, rendered by Plot.
 type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	Title    string
+	Header   []string
+	Rows     [][]string
+	Notes    []string
+	Heatmaps []*asciiplot.Heatmap
 }
 
 // Fprint renders the table with aligned columns.
@@ -95,8 +98,9 @@ type Options struct {
 // ExperimentFunc regenerates one experiment.
 type ExperimentFunc func(Options) ([]*Table, error)
 
-// Names lists the experiments in paper order. Every name is backed by a
-// registry entry (registered from tables.go and figures.go).
+// Names lists the experiments in paper order, then the pattern-family
+// lanes. Every name is backed by a registry entry, registered from the
+// file that defines it.
 var Names = []string{
 	"table1", "table2", "table3", "table4",
 	"fig1", "fig8", "fig9", "fig10", "fig11",
@@ -164,7 +168,6 @@ func sweep(opt Options, specs []sim.Spec) ([]*sim.Result, error) {
 	return out, nil
 }
 
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func e2(v float64) string { return fmt.Sprintf("%.2e", v) }
 func d(v uint64) string   { return fmt.Sprintf("%d", v) }

@@ -63,7 +63,46 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if !strings.Contains(buf.String(), tab.Header[0]) {
 				t.Fatalf("%s: printed output missing header", name)
 			}
+			buf.Reset()
+			if err := tab.Plot(&buf); err != nil {
+				t.Fatalf("%s: plot: %v", name, err)
+			}
+			for _, hm := range tab.Heatmaps {
+				if !strings.Contains(buf.String(), hm.Title) {
+					t.Fatalf("%s: plotted output missing heatmap %q", name, hm.Title)
+				}
+			}
 		}
+	}
+}
+
+// TestResilienceRetryCompletes: with bounded retransmission every lane
+// completes all of its tasks at every drop rate of the sweep, and the
+// nanos control arm completes everything. At least one picos-full lane
+// with faults and no recovery must lose work, so the retry lanes' 1.0
+// is the policy's doing, not a sweep too gentle to drop anything.
+func TestResilienceRetryCompletes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates; skipped in -short")
+	}
+	cells, err := ResilienceData(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy := 0
+	for _, c := range cells {
+		switch {
+		case c.Recovery != "" || c.Engine == "nanos":
+			if c.CompletionFraction != 1 || c.Wedged {
+				t.Errorf("%s %s %q +%q: completed %.3f, wedged %v; want 1.000, not wedged",
+					c.Engine, c.Family, c.FaultPlan, c.Recovery, c.CompletionFraction, c.Wedged)
+			}
+		case c.Engine == "picos-full" && c.FaultPlan != "" && c.CompletionFraction < 1:
+			lossy++
+		}
+	}
+	if lossy == 0 {
+		t.Error("no picos-full lane with faults and no recovery lost work: the sweep shows nothing for retry to recover")
 	}
 }
 

@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/asciiplot"
 	"repro/internal/patterns"
 	"repro/internal/sim"
 )
 
 func init() {
-	Register("hetero-scaling", HeteroScaling)
+	registerLane("hetero-scaling", HeteroScalingData, heteroTables)
 }
 
 // heteroMixes are the worker-class declarations the hetero-scaling
@@ -42,12 +40,11 @@ var heteroFamilies = []string{"stencil_1d", "stencil_2d", "fft", "tree"}
 // each cell normalized against the class-weighted perfect roofline for
 // the same mix (critical paths weighted by the best eligible class, so
 // the bound is achievable on that platform — every lane must come out
-// at SpeedupVsPerfect <= 1).
+// at SpeedupVsPerfect <= 1). The roofline is policy- and steal-blind:
+// the oracle already grants each task its best eligible class.
 func HeteroScalingData(opt Options) ([]CapacityCell, error) {
 	mixes := heteroMixes
 	fams := heteroFamilies
-	policies := heteroPolicies
-	steals := []bool{false, true}
 	if opt.Quick {
 		mixes = []string{mixes[1], mixes[3]}
 		// The quick pattern sizes are not powers of two, so fft is out;
@@ -55,191 +52,43 @@ func HeteroScalingData(opt Options) ([]CapacityCell, error) {
 		fams = []string{"stencil_1d", "stencil_2d"}
 	}
 
-	type point struct {
-		family, mix, policy string
-		steal               bool
-		roofline            bool
-	}
-	var pts []point
-	var specs []sim.Spec
+	var pts []lanePoint
 	for _, f := range fams {
+		w := capacityPattern(f, patterns.DefaultLayout, opt)
 		for _, m := range mixes {
-			for _, pol := range policies {
-				for _, st := range steals {
-					pts = append(pts, point{f, m, pol, st, false})
-					specs = append(specs, sim.Spec{
-						Engine:        "picos-hw",
-						Workload:      capacityPattern(f, patterns.DefaultLayout, opt),
-						WorkerClasses: m,
-						Sched:         pol,
-						Steal:         st,
+			for _, pol := range heteroPolicies {
+				for _, st := range []bool{false, true} {
+					pts = append(pts, lanePoint{
+						spec: sim.Spec{Engine: "picos-hw", Workload: w, WorkerClasses: m, Sched: pol, Steal: st},
+						roof: sim.Spec{Engine: "perfect", Workload: w, WorkerClasses: m},
+						cell: CapacityCell{Family: f, Design: "p8way", Layout: patterns.DefaultLayout, Classes: m, Sched: pol, Steal: st},
 					})
 				}
 			}
 		}
 	}
-	// Class-weighted perfect roofline: one run per family x mix (policy-
-	// and steal-blind — the oracle already grants each task its best
-	// eligible class).
-	roofIdx := make(map[[2]string]int, len(fams)*len(mixes))
-	for _, f := range fams {
-		for _, m := range mixes {
-			roofIdx[[2]string{f, m}] = len(specs)
-			pts = append(pts, point{family: f, mix: m, roofline: true})
-			specs = append(specs, sim.Spec{
-				Engine:        "perfect",
-				Workload:      capacityPattern(f, patterns.DefaultLayout, opt),
-				WorkerClasses: m,
-			})
-		}
-	}
-
-	results, err := sweep(opt, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	cells := make([]CapacityCell, 0, len(pts))
-	for i, pt := range pts {
-		if pt.roofline {
-			continue
-		}
-		res := results[i]
-		cell := CapacityCell{
-			Family:   pt.family,
-			Workload: specs[i].Workload,
-			Engine:   "picos-hw",
-			Design:   "p8way",
-			Layout:   patterns.DefaultLayout,
-			Classes:  pt.mix,
-			Sched:    pt.policy,
-			Steal:    pt.steal,
-			Wedged:   res.Wedged,
-			WedgedAt: res.WedgedAt,
-			Makespan: res.Makespan,
-			Speedup:  res.Speedup,
-		}
-		if st := res.Stats; st != nil {
-			cell.DMConflicts = st.DMConflicts
-			cell.VMStallEvents = st.VMStallEvents
-			cell.DMConflictStallCycles = st.DMConflictStallCycles
-			cell.VMStallCycles = st.VMStallCycles
-		}
-		if roof := results[roofIdx[[2]string{pt.family, pt.mix}]]; !res.Wedged && roof.Speedup > 0 {
-			cell.SpeedupVsPerfect = res.Speedup / roof.Speedup
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
+	return runLane(opt, pts, false)
 }
 
-// heteroLane renders one policy x steal combination as a column label.
-func heteroLane(policy string, steal bool) string {
-	if steal {
-		return policy + "+steal"
-	}
-	return policy
-}
-
-// HeteroScalingTables renders already-computed hetero cells as one
-// table per class mix: rows = families, columns = policy x steal lanes,
-// cell = speedup-vs-weighted-perfect.
-func HeteroScalingTables(cells []CapacityCell) []*Table {
-	mixes := distinct(cells, nil, func(c CapacityCell) string { return c.Classes })
-	fams := distinct(cells, nil, func(c CapacityCell) string { return c.Family })
-
-	var lanes [][2]interface{}
-	header := []string{"Family"}
-	for _, pol := range heteroPolicies {
-		for _, st := range []bool{false, true} {
-			lanes = append(lanes, [2]interface{}{pol, st})
-			header = append(header, heteroLane(pol, st))
+// heteroTables renders hetero cells as one table per class mix: rows =
+// families, columns = policy x steal lanes, cell = speedup vs the
+// class-weighted perfect roofline, with the same grid as a heatmap.
+func heteroTables(cells []CapacityCell) []*Table {
+	lane := func(c CapacityCell) string {
+		if c.Steal {
+			return c.Sched + "+steal"
 		}
+		return c.Sched
 	}
-	find := func(f, m, pol string, st bool) *CapacityCell {
-		for i := range cells {
-			c := &cells[i]
-			if c.Family == f && c.Classes == m && c.Sched == pol && c.Steal == st {
-				return c
-			}
-		}
-		return nil
-	}
-
 	var tables []*Table
-	for _, m := range mixes {
-		t := &Table{
-			Title:  fmt.Sprintf("Hetero scaling (%s, picos-hw, malloc layout): speedup vs class-weighted perfect roofline per grant policy", m),
-			Header: header,
-		}
-		for _, f := range fams {
-			row := []string{f}
-			for _, lane := range lanes {
-				c := find(f, m, lane[0].(string), lane[1].(bool))
-				switch {
-				case c == nil:
-					row = append(row, "-")
-				case c.Wedged:
-					row = append(row, fmt.Sprintf("WEDGE@%d", c.WedgedAt))
-				default:
-					row = append(row, fmt.Sprintf("%.2f", c.SpeedupVsPerfect))
-				}
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		t.Notes = append(t.Notes,
+	for _, m := range distinct(cells, func(c CapacityCell) string { return c.Classes }) {
+		v := view(cells, func(c CapacityCell) bool { return c.Classes == m }, cellFamily, lane)
+		t := v.table(
+			fmt.Sprintf("Hetero scaling (%s, picos-hw, malloc layout): speedup vs class-weighted perfect roofline per grant policy", m),
+			"Family", orWedge(func(c CapacityCell) string { return f2(c.SpeedupVsPerfect) }),
 			"roofline: zero-overhead list scheduler on the same class mix, critical path weighted by each task's best eligible class; 1.00 means the accelerator schedules as well as the oracle")
+		t.Heatmaps = append(t.Heatmaps, v.heatmap(fmt.Sprintf("hetero scaling: speedup vs weighted perfect (%s, picos-hw)", m), false, vsPerfect))
 		tables = append(tables, t)
 	}
 	return tables
-}
-
-// HeteroScalingHeatmaps renders one family x lane heatmap per class
-// mix, speedup vs the class-weighted perfect roofline.
-func HeteroScalingHeatmaps(cells []CapacityCell) []*asciiplot.Heatmap {
-	mixes := distinct(cells, nil, func(c CapacityCell) string { return c.Classes })
-	fams := distinct(cells, nil, func(c CapacityCell) string { return c.Family })
-
-	var xlabels []string
-	for _, pol := range heteroPolicies {
-		for _, st := range []bool{false, true} {
-			xlabels = append(xlabels, heteroLane(pol, st))
-		}
-	}
-	var maps []*asciiplot.Heatmap
-	for _, m := range mixes {
-		hm := &asciiplot.Heatmap{
-			Title:   fmt.Sprintf("hetero scaling: speedup vs weighted perfect (%s, picos-hw)", m),
-			XLabels: xlabels,
-			YLabels: fams,
-			Missing: "XX",
-		}
-		for _, f := range fams {
-			var row []float64
-			for _, pol := range heteroPolicies {
-				for _, st := range []bool{false, true} {
-					v := math.NaN()
-					for _, c := range cells {
-						if c.Family == f && c.Classes == m && c.Sched == pol && c.Steal == st && !c.Wedged {
-							v = c.SpeedupVsPerfect
-						}
-					}
-					row = append(row, v)
-				}
-			}
-			hm.Cells = append(hm.Cells, row)
-		}
-		maps = append(maps, hm)
-	}
-	return maps
-}
-
-// HeteroScaling is the registry entry: the sweep as one table per class
-// mix.
-func HeteroScaling(opt Options) ([]*Table, error) {
-	cells, err := HeteroScalingData(opt)
-	if err != nil {
-		return nil, err
-	}
-	return HeteroScalingTables(cells), nil
 }

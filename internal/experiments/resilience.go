@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	Register("resilience", Resilience)
+	registerLane("resilience", ResilienceData, resilienceTables)
 }
 
 // resilienceRates are the AXI drop probabilities of the sweep; 0 is the
@@ -52,151 +52,60 @@ func ResilienceData(opt Options) ([]CapacityCell, error) {
 		fams = fams[:1]
 	}
 
-	type point struct {
-		family, engine, plan, rec string
-	}
-	var pts []point
-	var specs []sim.Spec
+	var pts []lanePoint
 	for _, f := range fams {
+		w := capacityPattern(f, patterns.DefaultLayout, opt)
 		for _, e := range engines {
 			for _, rate := range rates {
 				for _, rec := range resilienceRecoveries {
 					plan := resilienceFaultPlan(rate)
-					pts = append(pts, point{f, e, plan, rec})
-					specs = append(specs, sim.Spec{
-						Engine:   e,
-						Workload: capacityPattern(f, patterns.DefaultLayout, opt),
-						Faults:   plan,
-						Recovery: rec,
+					pts = append(pts, lanePoint{
+						spec: sim.Spec{Engine: e, Workload: w, Faults: plan, Recovery: rec},
+						cell: CapacityCell{Family: f, Design: "p8way", Layout: patterns.DefaultLayout, FaultPlan: plan, Recovery: rec},
 					})
 				}
 			}
 		}
 	}
-
-	results, err := sweep(opt, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	cells := make([]CapacityCell, 0, len(pts))
-	for i, pt := range pts {
-		res := results[i]
-		done := 0
-		for _, f := range res.Finish {
-			if f > 0 {
-				done++
-			}
-		}
-		cell := CapacityCell{
-			Family:             pt.family,
-			Workload:           specs[i].Workload,
-			Engine:             pt.engine,
-			Design:             "p8way",
-			Layout:             patterns.DefaultLayout,
-			FaultPlan:          pt.plan,
-			Recovery:           pt.rec,
-			Faulted:            res.Faulted,
-			TimedOut:           res.TimedOut,
-			LostTasks:          res.LostTasks,
-			RecoveredTasks:     res.RecoveredTasks,
-			RefusedTasks:       res.RefusedTasks,
-			Wedged:             res.Wedged,
-			WedgedAt:           res.WedgedAt,
-			Makespan:           res.Makespan,
-			Speedup:            res.Speedup,
-			CompletionFraction: float64(done) / float64(len(res.Finish)),
-		}
-		if st := res.Stats; st != nil {
-			cell.DMConflicts = st.DMConflicts
-			cell.VMStallEvents = st.VMStallEvents
-			cell.DMConflictStallCycles = st.DMConflictStallCycles
-			cell.VMStallCycles = st.VMStallCycles
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
+	return runLane(opt, pts, true)
 }
 
 // resilienceLane renders one rate x recovery combination as a column
 // label.
-func resilienceLane(plan, rec string) string {
-	rate := plan
+func resilienceLane(c CapacityCell) string {
+	rate := c.FaultPlan
 	if rate == "" {
 		rate = "fault-free"
 	}
-	if rec == "" {
+	if c.Recovery == "" {
 		return rate
 	}
-	return rate + " +" + rec
+	return rate + " +" + c.Recovery
 }
 
-// ResilienceTables renders already-computed resilience cells as one
-// table per engine: rows = families, columns = rate x recovery lanes,
-// cell = completion fraction with the loss accounting.
-func ResilienceTables(cells []CapacityCell) []*Table {
-	engines := distinct(cells, nil, func(c CapacityCell) string { return c.Engine })
-	fams := distinct(cells, nil, func(c CapacityCell) string { return c.Family })
-	plans := distinct(cells, nil, func(c CapacityCell) string { return c.FaultPlan })
-	recs := distinct(cells, nil, func(c CapacityCell) string { return c.Recovery })
-
-	find := func(e, f, plan, rec string) *CapacityCell {
-		for i := range cells {
-			c := &cells[i]
-			if c.Engine == e && c.Family == f && c.FaultPlan == plan && c.Recovery == rec {
-				return c
-			}
-		}
-		return nil
+// resilienceText is a resilience cell: the completion fraction with the
+// loss accounting, marked when the run wedged on its losses.
+func resilienceText(c CapacityCell) string {
+	s := fmt.Sprintf("%.3f", c.CompletionFraction)
+	if c.LostTasks > 0 || c.RecoveredTasks > 0 {
+		s += fmt.Sprintf(" (lost %d, rec %d)", c.LostTasks, c.RecoveredTasks)
 	}
+	if c.Wedged {
+		s += " WEDGE"
+	}
+	return s
+}
 
+// resilienceTables renders resilience cells as one table per engine:
+// rows = families, columns = rate x recovery lanes.
+func resilienceTables(cells []CapacityCell) []*Table {
 	var tables []*Table
-	for _, e := range engines {
-		t := &Table{
-			Title: fmt.Sprintf("Resilience (%s): completion fraction per fault rate x recovery policy", e),
-		}
-		t.Header = []string{"Family"}
-		for _, plan := range plans {
-			for _, rec := range recs {
-				t.Header = append(t.Header, resilienceLane(plan, rec))
-			}
-		}
-		for _, f := range fams {
-			row := []string{f}
-			for _, plan := range plans {
-				for _, rec := range recs {
-					c := find(e, f, plan, rec)
-					switch {
-					case c == nil:
-						row = append(row, "-")
-					default:
-						s := fmt.Sprintf("%.3f", c.CompletionFraction)
-						if c.LostTasks > 0 || c.RecoveredTasks > 0 {
-							s += fmt.Sprintf(" (lost %d, rec %d)", c.LostTasks, c.RecoveredTasks)
-						}
-						if c.Wedged {
-							s += " WEDGE"
-						}
-						row = append(row, s)
-					}
-				}
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		t.Notes = append(t.Notes,
+	for _, e := range distinct(cells, func(c CapacityCell) string { return c.Engine }) {
+		tables = append(tables, view(cells, func(c CapacityCell) bool { return c.Engine == e }, cellFamily, resilienceLane).table(
+			fmt.Sprintf("Resilience (%s): completion fraction per fault rate x recovery policy", e),
+			"Family", resilienceText,
 			"completion fraction = tasks finished / tasks total; a fraction below 1.0 without a wedge means the run drained around the losses",
-			"nanos is the control arm: no link, no fault layer, completion 1.0 by construction at every rate")
-		tables = append(tables, t)
+			"nanos is the control arm: no link, no fault layer, completion 1.0 by construction at every rate"))
 	}
 	return tables
-}
-
-// Resilience is the registry entry: the fault-rate x recovery sweep as
-// one table per engine.
-func Resilience(opt Options) ([]*Table, error) {
-	cells, err := ResilienceData(opt)
-	if err != nil {
-		return nil, err
-	}
-	return ResilienceTables(cells), nil
 }

@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/asciiplot"
 	"repro/internal/patterns"
 	"repro/internal/sim"
 )
 
 func init() {
-	Register("shard-capacity", ShardCapacity)
+	registerLane("shard-capacity", ShardCapacityData, shardTables)
 }
 
 // shardCounts are the DCT shard counts the shard-capacity sweep
@@ -30,8 +28,9 @@ var shardFamilies = []string{"stencil_1d", "wavefront", "spread", "all_to_all"}
 // ShardCapacityData executes the shard-capacity sweep: every shard
 // count x DM design (sets x ways shape) x pattern family on picos-hw
 // under the default malloc layout, normalized per family against the
-// Perfect roofline. Cells carry NumDCT, distinguishing this lane from
-// the single-DCT capacity map in BENCH_patterns.json.
+// Perfect roofline (design- and shard-blind). Cells carry NumDCT,
+// distinguishing this lane from the single-DCT capacity map in
+// BENCH_patterns.json.
 func ShardCapacityData(opt Options) ([]CapacityCell, error) {
 	fams := shardFamilies
 	shards := shardCounts
@@ -42,187 +41,38 @@ func ShardCapacityData(opt Options) ([]CapacityCell, error) {
 		designs = designs[2:] // shipping P+8way only
 	}
 
-	type point struct {
-		family, design string
-		numDCT         int
-	}
-	var pts []point
-	var specs []sim.Spec
+	var pts []lanePoint
 	for _, f := range fams {
+		w := capacityPattern(f, patterns.DefaultLayout, opt)
 		for _, d := range designs {
 			for _, n := range shards {
-				pts = append(pts, point{f, d.spec, n})
-				specs = append(specs, sim.Spec{
-					Engine:   "picos-hw",
-					Workload: capacityPattern(f, patterns.DefaultLayout, opt),
-					Design:   d.spec,
-					NumDCT:   n,
+				pts = append(pts, lanePoint{
+					spec: sim.Spec{Engine: "picos-hw", Workload: w, Design: d.spec, NumDCT: n},
+					roof: sim.Spec{Engine: "perfect", Workload: w},
+					cell: CapacityCell{Family: f, Design: d.spec, Layout: patterns.DefaultLayout, NumDCT: n},
 				})
 			}
 		}
 	}
-	// Perfect roofline, one run per family (design- and shard-blind).
-	perfectIdx := make(map[string]int, len(fams))
-	for _, f := range fams {
-		perfectIdx[f] = len(specs)
-		pts = append(pts, point{f, "", 0})
-		specs = append(specs, sim.Spec{Engine: "perfect", Workload: capacityPattern(f, patterns.DefaultLayout, opt)})
-	}
-
-	results, err := sweep(opt, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	cells := make([]CapacityCell, 0, len(pts))
-	for i, pt := range pts {
-		if pt.numDCT == 0 {
-			continue // roofline
-		}
-		res := results[i]
-		cell := CapacityCell{
-			Family:   pt.family,
-			Workload: specs[i].Workload,
-			Engine:   "picos-hw",
-			Design:   pt.design,
-			Layout:   patterns.DefaultLayout,
-			NumDCT:   pt.numDCT,
-			Wedged:   res.Wedged,
-			WedgedAt: res.WedgedAt,
-			Makespan: res.Makespan,
-			Speedup:  res.Speedup,
-		}
-		if st := res.Stats; st != nil {
-			cell.DMConflicts = st.DMConflicts
-			cell.VMStallEvents = st.VMStallEvents
-			cell.DMConflictStallCycles = st.DMConflictStallCycles
-			cell.VMStallCycles = st.VMStallCycles
-		}
-		if roof := results[perfectIdx[pt.family]]; !res.Wedged && roof.Speedup > 0 {
-			cell.SpeedupVsPerfect = res.Speedup / roof.Speedup
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
+	return runLane(opt, pts, false)
 }
 
-// ShardCapacityHeatmaps renders family x shard-count heatmaps: speedup
-// vs perfect for every DM design present, plus the stall-cycle cost at
-// the shipping P+8way design.
-func ShardCapacityHeatmaps(cells []CapacityCell) []*asciiplot.Heatmap {
-	shards := distinct(cells, nil, func(c CapacityCell) string { return fmt.Sprintf("%d", c.NumDCT) })
-	fams := distinct(cells, nil, func(c CapacityCell) string { return c.Family })
-	designs := distinct(cells, nil, func(c CapacityCell) string { return c.Design })
-
-	xlabels := make([]string, len(shards))
-	for i, s := range shards {
-		xlabels[i] = s + "sh"
-	}
-	value := func(f, d, shard string, get func(CapacityCell) float64) float64 {
-		for _, c := range cells {
-			if c.Family == f && c.Design == d && fmt.Sprintf("%d", c.NumDCT) == shard && !c.Wedged {
-				return get(c)
-			}
-		}
-		return math.NaN()
-	}
-	build := func(title string, design string, log bool, get func(CapacityCell) float64) *asciiplot.Heatmap {
-		hm := &asciiplot.Heatmap{
-			Title:   title,
-			XLabels: xlabels,
-			YLabels: fams,
-			Log:     log,
-			Missing: "XX",
-		}
-		for _, f := range fams {
-			row := make([]float64, len(shards))
-			for j, s := range shards {
-				row[j] = value(f, design, s, get)
-			}
-			hm.Cells = append(hm.Cells, row)
-		}
-		return hm
-	}
-
-	var maps []*asciiplot.Heatmap
-	for _, d := range designs {
-		maps = append(maps, build(
-			fmt.Sprintf("shard capacity: speedup vs perfect (%s, picos-hw)", d), d, false,
-			func(c CapacityCell) float64 { return c.SpeedupVsPerfect }))
-	}
-	for _, d := range designs {
-		if d != "p8way" {
-			continue
-		}
-		maps = append(maps, build(
-			"shard capacity: DM+VM stall cycles (p8way, picos-hw)", d, true,
-			func(c CapacityCell) float64 {
-				return float64(c.DMConflictStallCycles + c.VMStallCycles)
-			}))
-	}
-	return maps
-}
-
-// ShardCapacity is the registry entry: the sweep as one table per DM
-// design, rows = families, columns = shard counts.
-func ShardCapacity(opt Options) ([]*Table, error) {
-	cells, err := ShardCapacityData(opt)
-	if err != nil {
-		return nil, err
-	}
-	return ShardCapacityTables(cells), nil
-}
-
-// ShardCapacityTables renders already-computed shard cells as tables, so
-// callers that also need the cells run the sweep exactly once.
-func ShardCapacityTables(cells []CapacityCell) []*Table {
-	shards := distinct(cells, nil, func(c CapacityCell) string { return fmt.Sprintf("%d", c.NumDCT) })
-	fams := distinct(cells, nil, func(c CapacityCell) string { return c.Family })
-	designs := distinct(cells, nil, func(c CapacityCell) string { return c.Design })
-
-	find := func(f, d, shard string) *CapacityCell {
-		for i := range cells {
-			c := &cells[i]
-			if c.Family == f && c.Design == d && fmt.Sprintf("%d", c.NumDCT) == shard {
-				return c
-			}
-		}
-		return nil
-	}
-	header := append([]string{"Family"}, func() []string {
-		out := make([]string, len(shards))
-		for i, s := range shards {
-			out[i] = s + " shards"
-		}
-		return out
-	}()...)
-
+// shardTables renders shard cells as one table per DM design, rows =
+// families, columns = shard counts. Each carries a speedup-vs-perfect
+// heatmap, and the shipping P+8way table the stall-cycle cost too.
+func shardTables(cells []CapacityCell) []*Table {
 	var tables []*Table
-	for _, d := range designs {
-		t := &Table{
-			Title:  fmt.Sprintf("Shard capacity (%s, picos-hw, malloc layout): conflicts / stall cycles / speedup-vs-perfect per shard count", d),
-			Header: header,
-		}
-		for _, f := range fams {
-			row := []string{f}
-			for _, s := range shards {
-				c := find(f, d, s)
-				switch {
-				case c == nil:
-					row = append(row, "-")
-				case c.Wedged:
-					row = append(row, fmt.Sprintf("WEDGE@%d", c.WedgedAt))
-				default:
-					row = append(row, fmt.Sprintf("%d / %.2g / %.2f",
-						c.DMConflicts+c.VMStallEvents,
-						float64(c.DMConflictStallCycles+c.VMStallCycles),
-						c.SpeedupVsPerfect))
-				}
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		t.Notes = append(t.Notes,
+	for _, d := range distinct(cells, cellDesign) {
+		keep := func(c CapacityCell) bool { return c.Design == d }
+		t := view(cells, keep, cellFamily, func(c CapacityCell) string { return fmt.Sprintf("%d shards", c.NumDCT) }).table(
+			fmt.Sprintf("Shard capacity (%s, picos-hw, malloc layout): conflicts / stall cycles / speedup-vs-perfect per shard count", d),
+			"Family", stallText,
 			"sharding partitions the design's DM sets and VM across shards (capacity is divided, not multiplied); inter-shard traffic pays the chained shard-hop latency")
+		hv := view(cells, keep, cellFamily, func(c CapacityCell) string { return fmt.Sprintf("%dsh", c.NumDCT) })
+		t.Heatmaps = append(t.Heatmaps, hv.heatmap(fmt.Sprintf("shard capacity: speedup vs perfect (%s, picos-hw)", d), false, vsPerfect))
+		if d == "p8way" {
+			t.Heatmaps = append(t.Heatmaps, hv.heatmap("shard capacity: DM+VM stall cycles (p8way, picos-hw)", true, stallCycles))
+		}
 		tables = append(tables, t)
 	}
 	return tables

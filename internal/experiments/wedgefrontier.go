@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/asciiplot"
 	"repro/internal/patterns"
 	"repro/internal/sim"
 )
 
 func init() {
-	Register("wedge-frontier", WedgeFrontier)
+	registerLane("wedge-frontier", WedgeFrontierData, wedgeTables)
 }
 
 // The wedge-frontier sweep charts where each DM design stops being able
@@ -65,181 +63,41 @@ func WedgeFrontierData(opt Options) ([]CapacityCell, error) {
 		ks = []int{3, 13}
 	}
 
-	type point struct {
-		design string
-		fields int
-		k      int
-	}
-	var pts []point
-	var specs []sim.Spec
+	var pts []lanePoint
 	for _, d := range dmDesigns {
 		for _, f := range wedgeFields {
 			for _, k := range ks {
-				pts = append(pts, point{d.spec, f, k})
-				specs = append(specs, sim.Spec{
-					Engine:   "picos-hw",
-					Workload: wedgePattern(f, k, "aligned", opt),
-					Design:   d.spec,
+				pts = append(pts, lanePoint{
+					spec: sim.Spec{Engine: "picos-hw", Workload: wedgePattern(f, k, "aligned", opt), Design: d.spec},
+					roof: sim.Spec{Engine: "perfect", Workload: wedgePattern(f, k, patterns.DefaultLayout, opt)},
+					cell: CapacityCell{Family: wedgeFamily, Design: d.spec, Layout: "aligned", Fields: f, K: k},
 				})
 			}
 		}
 	}
-	// Perfect roofline, one run per (fields, k) pair (design-blind).
-	perfectIdx := make(map[[2]int]int, len(wedgeFields)*len(ks))
-	for _, f := range wedgeFields {
-		for _, k := range ks {
-			perfectIdx[[2]int{f, k}] = len(specs)
-			pts = append(pts, point{"", f, k})
-			specs = append(specs, sim.Spec{
-				Engine:   "perfect",
-				Workload: wedgePattern(f, k, patterns.DefaultLayout, opt),
-			})
-		}
-	}
-
-	results, err := sweep(opt, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	cells := make([]CapacityCell, 0, len(pts))
-	for i, pt := range pts {
-		if pt.design == "" {
-			continue // roofline
-		}
-		res := results[i]
-		cell := CapacityCell{
-			Family:   wedgeFamily,
-			Workload: specs[i].Workload,
-			Engine:   "picos-hw",
-			Design:   pt.design,
-			Layout:   "aligned",
-			Fields:   pt.fields,
-			K:        pt.k,
-			Wedged:   res.Wedged,
-			WedgedAt: res.WedgedAt,
-			Makespan: res.Makespan,
-			Speedup:  res.Speedup,
-		}
-		if st := res.Stats; st != nil {
-			cell.DMConflicts = st.DMConflicts
-			cell.VMStallEvents = st.VMStallEvents
-			cell.DMConflictStallCycles = st.DMConflictStallCycles
-			cell.VMStallCycles = st.VMStallCycles
-		}
-		if roof := results[perfectIdx[[2]int{pt.fields, pt.k}]]; !res.Wedged && roof.Speedup > 0 {
-			cell.SpeedupVsPerfect = res.Speedup / roof.Speedup
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
+	return runLane(opt, pts, false)
 }
 
-// WedgeFrontierHeatmaps renders one fields x k heatmap per DM design:
-// speedup vs perfect, with wedged grid points missing — the XX band is
-// the design's wedge frontier at a glance.
-func WedgeFrontierHeatmaps(cells []CapacityCell) []*asciiplot.Heatmap {
-	designs := distinct(cells, nil, func(c CapacityCell) string { return c.Design })
-	ks := distinct(cells, nil, func(c CapacityCell) string { return fmt.Sprintf("%d", c.K) })
-	fields := distinct(cells, nil, func(c CapacityCell) string { return fmt.Sprintf("%d", c.Fields) })
-
-	xlabels := make([]string, len(ks))
-	for i, k := range ks {
-		xlabels[i] = "k" + k
-	}
-	ylabels := make([]string, len(fields))
-	for i, f := range fields {
-		ylabels[i] = "fields=" + f
-	}
-
-	var maps []*asciiplot.Heatmap
-	for _, d := range designs {
-		hm := &asciiplot.Heatmap{
-			Title:   fmt.Sprintf("wedge frontier: speedup vs perfect (%s, picos-hw, aligned layout)", d),
-			XLabels: xlabels,
-			YLabels: ylabels,
-			Missing: "XX",
-		}
-		for _, f := range fields {
-			row := make([]float64, len(ks))
-			for j, k := range ks {
-				row[j] = math.NaN()
-				for _, c := range cells {
-					if c.Design == d && fmt.Sprintf("%d", c.Fields) == f && fmt.Sprintf("%d", c.K) == k && !c.Wedged {
-						row[j] = c.SpeedupVsPerfect
-					}
-				}
-			}
-			hm.Cells = append(hm.Cells, row)
-		}
-		maps = append(maps, hm)
-	}
-	return maps
-}
-
-// WedgeFrontier is the registry entry: the sweep as one table per DM
-// design, rows = fields, columns = k values, wedged grid points
-// printing as WEDGE@<cycle> so each design's frontier reads directly
-// off the row.
-func WedgeFrontier(opt Options) ([]*Table, error) {
-	cells, err := WedgeFrontierData(opt)
-	if err != nil {
-		return nil, err
-	}
-	return WedgeFrontierTables(cells), nil
-}
-
-// WedgeFrontierTables renders already-computed wedge-frontier cells as
-// tables, so callers that also need the cells (the pattern-capacity-map
-// example) run the sweep exactly once.
-func WedgeFrontierTables(cells []CapacityCell) []*Table {
-	ks := distinct(cells, nil, func(c CapacityCell) string { return fmt.Sprintf("%d", c.K) })
-	fields := distinct(cells, nil, func(c CapacityCell) string { return fmt.Sprintf("%d", c.Fields) })
-	designs := distinct(cells, nil, func(c CapacityCell) string { return c.Design })
-
-	find := func(d, f, k string) *CapacityCell {
-		for i := range cells {
-			c := &cells[i]
-			if c.Design == d && fmt.Sprintf("%d", c.Fields) == f && fmt.Sprintf("%d", c.K) == k {
-				return c
-			}
-		}
-		return nil
-	}
-	header := append([]string{"Fields"}, func() []string {
-		out := make([]string, len(ks))
-		for i, k := range ks {
-			out[i] = "k=" + k
-		}
-		return out
-	}()...)
-
+// wedgeTables renders wedge-frontier cells as one table per DM design,
+// rows = fields, columns = k values, wedged grid points printing as
+// WEDGE@<cycle> so each design's frontier reads directly off the row.
+// Each carries a fields x k speedup-vs-perfect heatmap whose XX band is
+// the frontier at a glance.
+func wedgeTables(cells []CapacityCell) []*Table {
 	var tables []*Table
-	for _, d := range designs {
-		t := &Table{
-			Title:  fmt.Sprintf("Wedge frontier (%s, picos-hw, nearest family, aligned layout): conflicts / stall cycles / speedup-vs-perfect per dependence fan", d),
-			Header: header,
-		}
-		for _, f := range fields {
-			row := []string{f}
-			for _, k := range ks {
-				c := find(d, f, k)
-				switch {
-				case c == nil:
-					row = append(row, "-")
-				case c.Wedged:
-					row = append(row, fmt.Sprintf("WEDGE@%d", c.WedgedAt))
-				default:
-					row = append(row, fmt.Sprintf("%d / %.2g / %.2f",
-						c.DMConflicts+c.VMStallEvents,
-						float64(c.DMConflictStallCycles+c.VMStallCycles),
-						c.SpeedupVsPerfect))
-				}
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		t.Notes = append(t.Notes,
+	for _, d := range distinct(cells, cellDesign) {
+		keep := func(c CapacityCell) bool { return c.Design == d }
+		t := view(cells, keep,
+			func(c CapacityCell) string { return fmt.Sprintf("%d", c.Fields) },
+			func(c CapacityCell) string { return fmt.Sprintf("k=%d", c.K) },
+		).table(
+			fmt.Sprintf("Wedge frontier (%s, picos-hw, nearest family, aligned layout): conflicts / stall cycles / speedup-vs-perfect per dependence fan", d),
+			"Fields", stallText,
 			"aligned layout clusters every point buffer into one direct-hash set, so k (the read-window width) walks straight into the design's associativity; the first WEDGE column is the design's frontier")
+		hv := view(cells, keep,
+			func(c CapacityCell) string { return fmt.Sprintf("fields=%d", c.Fields) },
+			func(c CapacityCell) string { return fmt.Sprintf("k%d", c.K) })
+		t.Heatmaps = append(t.Heatmaps, hv.heatmap(fmt.Sprintf("wedge frontier: speedup vs perfect (%s, picos-hw, aligned layout)", d), false, vsPerfect))
 		tables = append(tables, t)
 	}
 	return tables
