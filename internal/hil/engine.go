@@ -25,29 +25,14 @@ func (e Engine) Name() string {
 	}
 }
 
-// Run executes the trace on the platform under the spec's knobs.
-func (e Engine) Run(tr *trace.Trace, spec sim.Spec) (*sim.Result, error) {
+// Run executes the source on the platform under the spec's knobs and
+// descriptor window (see stream.go).
+func (e Engine) Run(src trace.Source, spec sim.Spec) (*sim.Result, error) {
 	cfg, err := e.config(spec)
 	if err != nil {
 		return nil, err
 	}
-	res, err := Run(tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return toSimResult(res), nil
-}
-
-// RunStream executes a streaming task source on the platform under the
-// spec's bounded descriptor window. The mapped Result carries aggregate
-// probes only — Start/Finish/Order stay nil.
-func (e Engine) RunStream(src trace.Source, spec sim.Spec) (*sim.Result, error) {
-	cfg, err := e.config(spec)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Window = spec.Window
-	res, err := RunStream(src, cfg)
+	res, err := runSource(src, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -86,6 +71,7 @@ func (e Engine) config(spec sim.Spec) (Config, error) {
 	cfg.Mode = e.Mode
 	cfg.Workers = spec.Workers
 	cfg.Watchdog = spec.Watchdog
+	cfg.Window = spec.Window
 	cfg.FastForward = spec.FastPath()
 	plan, err := spec.SchedPlan()
 	if err != nil {

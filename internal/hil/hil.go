@@ -132,11 +132,12 @@ type Config struct {
 	// Watchdog aborts the run if no task starts or finishes for this
 	// many cycles (0: default 100M).
 	Watchdog uint64
-	// Window bounds RunStream's descriptor window: the maximum number of
+	// Window bounds the descriptor window: the maximum number of
 	// created-but-unretired task descriptors kept live at once, 0
-	// meaning unbounded. Run always runs unbounded and ignores it. See
-	// stream.go for the retirement rules and how the window composes
-	// with Picos.NewQDepth and RunAhead.
+	// meaning unbounded. A materialized source at Window 0 records the
+	// per-task schedule; every other run reports aggregate probes only.
+	// See stream.go for the retirement rules and how the window
+	// composes with Picos.NewQDepth and RunAhead.
 	Window int
 	// RunAhead bounds the FullSystem master's created-but-unsubmitted
 	// descriptor window: while a submission is backpressured (the
@@ -237,39 +238,25 @@ type Result struct {
 	RefusedIDs []uint32
 }
 
-// Platform is a reusable HIL engine: one accelerator model plus the
-// runner scratch around it. Run resets everything a previous run left
-// behind — in place, reusing the DM/VM/TM memories, queue buffers and
-// worker heaps — so a warm Platform executes a run with near-zero
-// allocations. A Platform is not safe for concurrent use; run one per
-// goroutine (the package-level Run keeps a pool of them).
-type Platform struct {
-	r runner
-}
-
-// NewPlatform returns an empty platform; the first Run sizes it.
-func NewPlatform() *Platform { return &Platform{} }
-
-// Run drives the trace through the platform under cfg: the streaming
-// loop over the trace with an unbounded window, recording the per-task
-// schedule. Resets between runs are proven equivalent to a fresh
-// platform by the reuse equivalence suite — including after a run that
+// runners keeps warm runners across runs: sweeps over thousands of grid
+// points reuse a per-worker runner — one accelerator model plus the
+// scratch around it — instead of rebuilding task/version/dependence
+// memories and queues per run. A reset is proven equivalent to a fresh
+// runner by the reuse equivalence suite, including after a run that
 // wedged.
-func (pl *Platform) Run(tr *trace.Trace, cfg Config) (*Result, error) {
-	pl.r.ts = *trace.FromTrace(tr)
-	cfg.Window = 0
-	return pl.r.drive(&pl.r.ts, tr, cfg)
+var runners = sync.Pool{New: func() any { return new(runner) }}
+
+// Run drives the trace through a pooled runner under cfg: the streaming
+// loop over the trace, which records the per-task schedule under an
+// unbounded window (see stream.go).
+func Run(tr *trace.Trace, cfg Config) (*Result, error) {
+	return runSource(trace.FromTrace(tr), cfg)
 }
 
-// platformPool keeps warm engines across Run calls: sweeps over
-// thousands of grid points reuse a per-worker Platform instead of
-// rebuilding task/version/dependence memories and queues per run.
-var platformPool = sync.Pool{New: func() any { return NewPlatform() }}
-
-// Run drives the trace through a pooled platform.
-func Run(tr *trace.Trace, cfg Config) (*Result, error) {
-	pl := platformPool.Get().(*Platform)
-	res, err := pl.Run(tr, cfg)
-	platformPool.Put(pl)
+// runSource drives a source through a pooled runner under cfg.
+func runSource(src trace.Source, cfg Config) (*Result, error) {
+	r := runners.Get().(*runner)
+	res, err := r.drive(src, cfg)
+	runners.Put(r)
 	return res, err
 }

@@ -84,26 +84,26 @@ func resultJSON(t *testing.T, res *Result) string {
 	return string(b)
 }
 
-// TestPlatformReuseEquivalence: one Platform re-Run across the whole
-// matrix must produce byte-identical Results to a fresh Platform per
-// run — with the case7+8way deadlock interleaved before every point, so
-// each Reset starts from a wedged machine and still comes out clean.
+// TestPlatformReuseEquivalence: one runner re-driven across the whole
+// matrix must produce byte-identical Results to a fresh runner per run
+// — with the case7+8way deadlock interleaved before every point, so
+// each reset starts from a wedged machine and still comes out clean.
 func TestPlatformReuseEquivalence(t *testing.T) {
-	reused := NewPlatform()
+	reused := new(runner)
 	wedge := wedgeCase(t)
 	for _, c := range reuseMatrix(t) {
-		wres, err := reused.Run(wedge.tr, wedge.cfg)
+		wres, err := reused.drive(trace.FromTrace(wedge.tr), wedge.cfg)
 		if err != nil {
 			t.Fatalf("%s: wedge run errored: %v", wedge.name, err)
 		}
 		if !wres.Wedged {
 			t.Fatalf("%s: expected a wedged result", wedge.name)
 		}
-		fres, err := NewPlatform().Run(c.tr, c.cfg)
+		fres, err := new(runner).drive(trace.FromTrace(c.tr), c.cfg)
 		if err != nil {
 			t.Fatalf("%s: fresh run: %v", c.name, err)
 		}
-		rres, err := reused.Run(c.tr, c.cfg)
+		rres, err := reused.drive(trace.FromTrace(c.tr), c.cfg)
 		if err != nil {
 			t.Fatalf("%s: reused run: %v", c.name, err)
 		}

@@ -95,18 +95,15 @@ func TestRunAheadWindowBounds(t *testing.T) {
 	cfg.FastForward = false
 	cfg.RunAhead = 3
 	cfg.Picos.NewQDepth = 1
-	if err := r.reset(trace.FromTrace(tr), tr, cfg); err != nil {
+	if err := r.reset(trace.FromTrace(tr), cfg); err != nil {
 		t.Fatal(err)
 	}
 	maxAhead := 0
 	for i := 0; i < 5_000_000 && r.done < len(tr.Tasks); i++ {
 		now := r.p.Now()
-		r.stepWorkers(now)
-		r.stepDeliveries(now)
-		r.stepSubmits(now)
-		r.stepMaster(now)
-		r.stepBus(now)
-		r.dispatch(now)
+		if err := r.stepPlatform(now); err != nil {
+			t.Fatal(err)
+		}
 		if r.createdAhead > maxAhead {
 			maxAhead = r.createdAhead
 		}

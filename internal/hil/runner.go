@@ -66,14 +66,12 @@ type runner struct {
 	cfg Config
 	p   *picos.Picos
 
-	// Ingestion state (see stream.go). Every run feeds from src: Run
-	// hands over ts, the adapter over its materialized trace, and an
-	// unbounded window. mat is the trace behind a materialized source,
-	// indexed in place; a streamed source keeps its live descriptors in
-	// the live table instead. At most window descriptors are live at once
-	// (0: unbounded).
+	// Ingestion state (see stream.go). Every run feeds from src. mat is
+	// the trace behind a materialized source, indexed in place; a
+	// streamed source keeps its live descriptors in the live table
+	// instead. At most window descriptors are live at once (0:
+	// unbounded).
 	src    trace.Source
-	ts     trace.TraceSource
 	mat    *trace.Trace
 	window int
 	kinds  []string // src.Kinds()
@@ -153,7 +151,8 @@ type runner struct {
 	busFree  uint64
 	busSetup bool // lazy one-time queue setup performed
 
-	// The per-task schedule, recorded by Run only (nil when streaming).
+	// The per-task schedule, recorded only for a materialized source
+	// under an unbounded window (nil otherwise).
 	start  []uint64
 	finish []uint64
 	order  []uint32
@@ -183,13 +182,10 @@ type runner struct {
 	refusedIDs []uint32 // refused task IDs under avoid-deadlock-park
 }
 
-// drive runs src through the platform under cfg. whole is the
-// materialized trace when the caller hands over the whole graph (Run):
-// then the coverage check sees the kinds actually used, the priority
-// policy gets its bottom levels and the run records its schedule.
-func (r *runner) drive(src trace.Source, whole *trace.Trace, cfg Config) (*Result, error) {
+// drive runs src through the platform under cfg.
+func (r *runner) drive(src trace.Source, cfg Config) (*Result, error) {
 	var res *Result
-	err := r.reset(src, whole, cfg)
+	err := r.reset(src, cfg)
 	if err == nil {
 		res, err = r.run()
 	}
@@ -204,7 +200,7 @@ func (r *runner) drive(src trace.Source, whole *trace.Trace, cfg Config) (*Resul
 // heaps, the link queues, the in-flight buffers and the live table. Only
 // the per-task schedule arrays are freshly allocated — they escape into
 // the Result.
-func (r *runner) reset(src trace.Source, whole *trace.Trace, cfg Config) error {
+func (r *runner) reset(src trace.Source, cfg Config) error {
 	if len(cfg.Classes) > 0 {
 		if cfg.Workers != 0 {
 			return fmt.Errorf("hil: both Workers (%d) and Classes (%q) set", cfg.Workers, cfg.Classes.String())
@@ -242,6 +238,11 @@ func (r *runner) reset(src trace.Source, whole *trace.Trace, cfg Config) error {
 		if err := r.mat.Validate(); err != nil {
 			return fmt.Errorf("hil: %w", err)
 		}
+	}
+	// Under an unbounded window a materialized source is the whole graph.
+	var whole *trace.Trace
+	if cfg.Window == 0 {
+		whole = r.mat
 	}
 	// Split the fault plan into its two injectors before the accelerator
 	// is configured: the dct/trs clauses (plus the degrade knob) ride
@@ -338,7 +339,7 @@ func (r *runner) reset(src trace.Source, whole *trace.Trace, cfg Config) error {
 // trace, the schedule arrays now owned by the Result) so a pooled runner
 // does not retain them; the reusable scratch stays.
 func (r *runner) scrub() {
-	r.src, r.ts, r.mat, r.kinds = nil, trace.TraceSource{}, nil, nil
+	r.src, r.mat, r.kinds = nil, nil, nil
 	r.lookahead, r.feedErr = trace.Task{}, nil
 	r.live.Reset() // keep the table's capacity, drop its descriptors
 	r.start, r.finish, r.order = nil, nil, nil
@@ -466,6 +467,30 @@ func (r *runner) run() (*Result, error) {
 	return r.runRef()
 }
 
+// stepPlatform runs the platform-side steps of one evaluated cycle, in
+// the one order both loops share: degrade retirements and fail-stops
+// first, then workers, link deliveries, the feed, submissions, the
+// master, the link and the grants. It returns a mid-stream validation
+// or source error parked by the feed, which ends the run.
+//
+//picos:hotpath
+func (r *runner) stepPlatform(now uint64) error {
+	if f := r.cfg.Picos.Faults; f != nil {
+		r.retireDegraded(f)
+	}
+	if r.flt != nil {
+		r.applyStops(now)
+	}
+	r.stepWorkers(now)
+	r.stepDeliveries(now)
+	r.stepFeed(now)
+	r.stepSubmits(now)
+	r.stepMaster(now)
+	r.stepBus(now)
+	r.dispatch(now)
+	return r.feedErr
+}
+
 // runRef is the cycle-stepped reference loop: the platform-side steps
 // run every cycle and the accelerator is stepped one cycle at a time,
 // except across stretches where everything is provably idle. It is the
@@ -474,21 +499,8 @@ func (r *runner) run() (*Result, error) {
 func (r *runner) runRef() (*Result, error) {
 	for r.tasksOutstanding() || !r.p.Idle() || r.pendingWork() {
 		now := r.p.Now()
-		if f := r.cfg.Picos.Faults; f != nil {
-			r.retireDegraded(f)
-		}
-		if r.flt != nil {
-			r.applyStops(now)
-		}
-		r.stepWorkers(now)
-		r.stepDeliveries(now)
-		r.stepFeed(now)
-		r.stepSubmits(now)
-		r.stepMaster(now)
-		r.stepBus(now)
-		r.dispatch(now)
-		if r.feedErr != nil {
-			return nil, r.feedErr
+		if err := r.stepPlatform(now); err != nil {
+			return nil, err
 		}
 		if r.tasksOutstanding() && r.wedged(now) {
 			return r.wedgedResult(now), nil
@@ -600,21 +612,8 @@ func (r *runner) wedgedResult(now uint64) *Result {
 func (r *runner) runFast() (*Result, error) {
 	for r.tasksOutstanding() || !r.p.Idle() || r.pendingWork() {
 		now := r.p.Now()
-		if f := r.cfg.Picos.Faults; f != nil {
-			r.retireDegraded(f)
-		}
-		if r.flt != nil {
-			r.applyStops(now)
-		}
-		r.stepWorkers(now)
-		r.stepDeliveries(now)
-		r.stepFeed(now)
-		r.stepSubmits(now)
-		r.stepMaster(now)
-		r.stepBus(now)
-		r.dispatch(now)
-		if r.feedErr != nil {
-			return nil, r.feedErr
+		if err := r.stepPlatform(now); err != nil {
+			return nil, err
 		}
 		interested := r.readyInterest()
 		next, ok := r.nextWake(now, interested)

@@ -19,12 +19,17 @@ import (
 // no schedule arrays, no whole-trace task slice, just the live table and
 // the running probes.
 //
-// Run is the same loop over its materialized trace with an unbounded
-// window: the trace is validated once and indexed in place, and the run
-// records its schedule. A windowed run over a materialized source is
-// indexed in place too; only a streamed source copies its live
+// A materialized source (trace.AlreadyMaterialized) is validated once
+// and indexed in place; only a streamed source copies its live
 // descriptors into a table keyed by task ID, whose capacity follows the
-// number of live descriptors, not the span of IDs they cover.
+// number of live descriptors, not the span of IDs they cover. Under an
+// unbounded window a materialized source is the whole graph: the run
+// records its schedule, the priority policy gets its bottom levels and
+// the class coverage check sees the kinds actually used. Every other run
+// reports aggregate probes only — Start/Finish/Order stay nil, because
+// per-task arrays are exactly the O(tasks) state the window exists to
+// avoid — and the priority policy, which needs whole-graph bottom
+// levels, is refused with sched.ErrNoBottomLevels.
 //
 // The window is modeled backpressure on creation. It composes with the
 // existing knobs — picos.NewQDepth (the accelerator's submission
@@ -32,24 +37,6 @@ import (
 // a windowed run can legitimately differ from the unbounded one; what
 // must not differ is the fast loop against the cycle-stepped reference
 // at the same window, which the equivalence matrix enforces.
-
-// RunStream drives a task source through the platform under cfg,
-// keeping at most cfg.Window (0: unbounded) created-but-unretired
-// descriptors live. The Result carries aggregate probes only —
-// Start/Finish/Order stay nil, because per-task arrays are exactly the
-// O(tasks) state the window exists to avoid. The priority policy needs
-// whole-graph bottom levels and is refused with sched.ErrNoBottomLevels.
-func (pl *Platform) RunStream(src trace.Source, cfg Config) (*Result, error) {
-	return pl.r.drive(src, nil, cfg)
-}
-
-// RunStream drives a source through a pooled platform.
-func RunStream(src trace.Source, cfg Config) (*Result, error) {
-	pl := platformPool.Get().(*Platform)
-	res, err := pl.RunStream(src, cfg)
-	platformPool.Put(pl)
-	return res, err
-}
 
 // windowOpen reports whether the feed may create another descriptor:
 // fewer than window tasks are live.

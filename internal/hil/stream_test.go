@@ -54,7 +54,7 @@ func TestStreamWideWindowMatchesRun(t *testing.T) {
 		want := mustRun(t, tr, cfg)
 
 		cfg.Window = len(tr.Tasks) + 1
-		got, err := RunStream(gridSource(t, query), cfg)
+		got, err := runSource(gridSource(t, query), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -77,12 +77,12 @@ func TestStreamFastEqualsRef(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Mode = mode
 			cfg.Window = win
-			fast, err := RunStream(gridSource(t, query), cfg)
+			fast, err := runSource(gridSource(t, query), cfg)
 			if err != nil {
 				t.Fatalf("%s w=%d fast: %v", mode, win, err)
 			}
 			cfg.FastForward = false
-			ref, err := RunStream(gridSource(t, query), cfg)
+			ref, err := runSource(gridSource(t, query), cfg)
 			if err != nil {
 				t.Fatalf("%s w=%d ref: %v", mode, win, err)
 			}
@@ -100,12 +100,12 @@ func TestStreamNarrowWindowBackpressures(t *testing.T) {
 	const query = "stencil_1d?width=16&steps=12"
 	cfg := DefaultConfig()
 	cfg.Window = 1 << 20
-	wide, err := RunStream(gridSource(t, query), cfg)
+	wide, err := runSource(gridSource(t, query), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Window = 4
-	narrow, err := RunStream(gridSource(t, query), cfg)
+	narrow, err := runSource(gridSource(t, query), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestStreamRestrictions(t *testing.T) {
 	tr := patternTrace(t, p)
 	cfg := DefaultConfig()
 	want := mustRun(t, tr, cfg)
-	got, err := RunStream(gridSource(t, query), cfg)
+	got, err := runSource(gridSource(t, query), cfg)
 	if err != nil {
 		t.Fatalf("window 0: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestStreamRestrictions(t *testing.T) {
 
 	cfg.Window = 8
 	cfg.Sched = sched.Priority
-	if _, err := RunStream(trace.FromTrace(tr), cfg); !errors.Is(err, sched.ErrNoBottomLevels) {
+	if _, err := Run(tr, cfg); !errors.Is(err, sched.ErrNoBottomLevels) {
 		t.Fatalf("priority: got %v, want sched.ErrNoBottomLevels", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestStreamDegrade(t *testing.T) {
 	}
 	for _, win := range []int{len(tr.Tasks) + 1, 16} {
 		cfg.Window = win
-		got, err := RunStream(trace.FromTrace(tr), cfg)
+		got, err := Run(tr, cfg)
 		if err != nil {
 			t.Fatalf("window %d: %v", win, err)
 		}
@@ -179,10 +179,10 @@ func TestStreamDegrade(t *testing.T) {
 	}
 }
 
-// TestStreamWrappedTraceEquivalence: streaming a wrapped materialized
-// trace (the back-compat bridge every existing workload uses) matches
-// the direct Run on all modes under a wide window, synthetic cases
-// included — the adapters add nothing.
+// TestStreamWrappedTraceEquivalence: a materialized trace run under a
+// window wider than itself matches its unbounded run on all modes,
+// synthetic cases included — dropping the schedule changes no
+// aggregate.
 func TestStreamWrappedTraceEquivalence(t *testing.T) {
 	for n := 1; n <= 7; n++ {
 		tr, err := synth.Case(n)
@@ -194,7 +194,7 @@ func TestStreamWrappedTraceEquivalence(t *testing.T) {
 			cfg.Mode = mode
 			want := mustRun(t, tr, cfg)
 			cfg.Window = len(tr.Tasks) + 1
-			got, err := RunStream(trace.FromTrace(tr), cfg)
+			got, err := Run(tr, cfg)
 			if err != nil {
 				t.Fatalf("case%d %s: %v", n, mode, err)
 			}
@@ -206,12 +206,12 @@ func TestStreamWrappedTraceEquivalence(t *testing.T) {
 }
 
 // stragglerSource streams one long task followed by short independent
-// ones. It is not a *trace.TraceSource, so the platform keeps its live
+// ones. It is not a *trace.TraceSource, so the runner keeps its live
 // descriptors in the live table, whose length and capacity it samples at
 // every pull.
 type stragglerSource struct {
 	n, next         int
-	pl              *Platform
+	r               *runner
 	maxLive, maxCap int
 }
 
@@ -225,8 +225,8 @@ func (s *stragglerSource) Next() (trace.Task, bool) {
 	if s.next == s.n {
 		return trace.Task{}, false
 	}
-	s.maxLive = max(s.maxLive, s.pl.r.live.Len())
-	s.maxCap = max(s.maxCap, s.pl.r.live.Cap())
+	s.maxLive = max(s.maxLive, s.r.live.Len())
+	s.maxCap = max(s.maxCap, s.r.live.Cap())
 	t := trace.Task{ID: uint32(s.next), Duration: 100,
 		Deps: []trace.Dep{{Addr: uint64(s.next+1) << 12, Dir: trace.Out}}}
 	if s.next == 0 {
@@ -252,9 +252,8 @@ func TestStreamStragglerWindow(t *testing.T) {
 			cfg.Mode = mode
 			cfg.Window = 8
 			cfg.FastForward = fast
-			pl := NewPlatform()
-			src := &stragglerSource{n: n, pl: pl}
-			r, err := pl.RunStream(src, cfg)
+			src := &stragglerSource{n: n, r: new(runner)}
+			r, err := src.r.drive(src, cfg)
 			if err != nil {
 				t.Fatalf("%s fast=%v: %v", mode, fast, err)
 			}

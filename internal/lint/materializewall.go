@@ -17,10 +17,10 @@ import (
 // The wall: trace.Materialize (call or function value) is allowed only
 // at the sanctioned whole-graph sites —
 //
-//   - internal/sim: the Window<=0 compatibility route of RunSource,
-//     byte-identical to the legacy materialized path by construction,
-//     and BuildWorkload, whose contract is a whole trace (a pattern
-//     workload is its Generate stream folded by Materialize)
+//   - internal/sim: RunSource at Window == 0, where the engine records
+//     the schedule of the whole graph, and BuildWorkload, whose contract
+//     is a whole trace (a pattern workload is its Generate stream folded
+//     by Materialize)
 //   - internal/perfect: the critical-path roofline needs a backward
 //     pass over the finished graph, an inherently multi-pass consumer
 //   - cmd/picos-trace: serializing a whole trace to disk is the tool's
@@ -40,7 +40,7 @@ var MaterializeWall = &Analyzer{
 // to materialize a Source, with the reason each is exempt.
 var materializeSanctioned = []string{
 	"internal/trace",   // the defining package
-	"internal/sim",     // RunSource's Window<=0 route; BuildWorkload's whole-trace contract
+	"internal/sim",     // RunSource at Window == 0; BuildWorkload's whole-trace contract
 	"internal/perfect", // multi-pass critical-path roofline
 	"cmd/picos-trace",  // whole-trace serialization is the tool's purpose
 }

@@ -8,9 +8,10 @@
 // around 8 workers, and fine-grained tasks collapse once per-task
 // overhead rivals task duration.
 //
-// One discrete-event loop serves both entry points. It feeds from a
-// trace.Source: RunSource streams under a bounded descriptor window, and
-// Run treats a materialized trace as a stream whose window never closes.
+// Run drives one discrete-event loop over a trace.Source: a materialized
+// trace is a stream whose window never closes, so the run records its
+// schedule; any other run streams under a bounded descriptor window in
+// O(window) heap.
 package nanos
 
 import (
@@ -18,6 +19,7 @@ import (
 	"sync"
 
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/table"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
@@ -88,30 +90,11 @@ type Config struct {
 	Steal    bool
 	Timing   Timing
 	Watchdog uint64 // safety bound on simulated cycles (0: 1e12)
-	// Window bounds RunSource's descriptor window: the maximum number of
+	// Window bounds the descriptor window: the maximum number of
 	// created-but-unfinished tasks kept live at once, 0 meaning
-	// unbounded. Run always runs unbounded and ignores it.
+	// unbounded. A materialized source at Window 0 records the per-task
+	// schedule; every other run reports aggregate probes only.
 	Window int
-}
-
-// Result is the outcome of a software-only run.
-type Result struct {
-	Workers  int
-	Makespan uint64
-	Baseline uint64
-	Speedup  float64
-	// Start/Finish are the per-task schedule, recorded by Run only: a
-	// streamed RunSource leaves them nil (they would be O(tasks)).
-	Start  []uint64
-	Finish []uint64
-	// LockBusy is the total cycles the runtime lock was held — the
-	// contention diagnostic behind the 8-worker knee.
-	LockBusy uint64
-	// FirstStart/ThrTask are the Table IV latency/throughput probes,
-	// stamped by both entry points: the cycle the first task started and
-	// the marginal cycles per additional task start.
-	FirstStart uint64
-	ThrTask    float64
 }
 
 // normalize checks the worker setup, fills the defaults and returns the
@@ -141,12 +124,29 @@ func (cfg *Config) normalize() (sched.Classes, error) {
 	return cfg.Classes, nil
 }
 
-// Run simulates the software-only runtime on a materialized trace and
-// records its Start/Finish schedule.
-func Run(tr *trace.Trace, cfg Config) (*Result, error) {
+// Run simulates the software-only runtime on a task source. A
+// materialized source (trace.AlreadyMaterialized) under an unbounded
+// window is validated whole, and the run records its Start/Finish
+// schedule. Any other run streams under cfg.Window, validates each
+// descriptor as it arrives and reports the aggregate FirstStart/ThrTask
+// probes only; the priority policy needs whole-graph bottom levels and
+// is refused there with sched.ErrNoBottomLevels.
+func Run(src trace.Source, cfg Config) (*sim.Result, error) {
 	classes, err := cfg.normalize()
 	if err != nil {
 		return nil, err
+	}
+	if err := src.Rewind(); err != nil {
+		return nil, fmt.Errorf("nanos: %w", err)
+	}
+	tr := trace.AlreadyMaterialized(src)
+	if tr == nil || cfg.Window != 0 {
+		// A stream's kind usage is unknown up front: the class list must
+		// cover every declared kind.
+		if err := classes.CheckCoverage(src.Kinds(), nil); err != nil {
+			return nil, err
+		}
+		return simulate(src, cfg, classes, nil, &sim.Result{}, false)
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("nanos: %w", err)
@@ -163,30 +163,8 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		prio = taskgraph.Build(tr).BottomLevels()
 	}
 	n := len(tr.Tasks)
-	res := &Result{Start: make([]uint64, n), Finish: make([]uint64, n)}
-	cfg.Window = 0
-	return simulate(trace.FromTrace(tr), cfg, classes, prio, res, true)
-}
-
-// RunSource simulates the software-only runtime on a streaming source
-// under cfg.Window. It records no Start/Finish schedule; the Result
-// carries the aggregate FirstStart/ThrTask probes. The priority policy
-// needs whole-graph bottom levels and is refused with
-// sched.ErrNoBottomLevels.
-func RunSource(src trace.Source, cfg Config) (*Result, error) {
-	classes, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	if err := src.Rewind(); err != nil {
-		return nil, fmt.Errorf("nanos: %w", err)
-	}
-	// A stream's kind usage is unknown up front: the class list must
-	// cover every declared kind.
-	if err := classes.CheckCoverage(src.Kinds(), nil); err != nil {
-		return nil, err
-	}
-	return simulate(src, cfg, classes, nil, &Result{}, false)
+	res := &sim.Result{Start: make([]uint64, n), Finish: make([]uint64, n)}
+	return simulate(src, cfg, classes, prio, res, true)
 }
 
 // event kinds for the discrete-event simulation.
@@ -295,7 +273,7 @@ var loops = sync.Pool{New: func() any {
 // allocated when the schedule is to be recorded. Descriptors are
 // validated as they arrive unless validated says the whole source
 // already was.
-func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64, res *Result, validated bool) (*Result, error) {
+func simulate(src trace.Source, cfg Config, classes sched.Classes, prio []uint64, res *sim.Result, validated bool) (*sim.Result, error) {
 	l := loops.Get().(*loop)
 	defer func() {
 		// Hand the (possibly grown) state back emptied, error paths

@@ -11,10 +11,10 @@ import (
 
 func TestErrors(t *testing.T) {
 	tr := &trace.Trace{}
-	if _, err := Run(tr, Config{Workers: 0}); err == nil {
+	if _, err := Run(trace.FromTrace(tr), Config{Workers: 0}); err == nil {
 		t.Fatal("accepted 0 workers")
 	}
-	if r, err := Run(tr, Config{Workers: 2}); err != nil || r.Makespan != 0 {
+	if r, err := Run(trace.FromTrace(tr), Config{Workers: 2}); err != nil || r.Makespan != 0 {
 		t.Fatalf("empty trace: %v %+v", err, r)
 	}
 }
@@ -26,7 +26,7 @@ func TestLegalSchedules(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 4, 12} {
-			r, err := Run(tr, Config{Workers: w})
+			r, err := Run(trace.FromTrace(tr), Config{Workers: w})
 			if err != nil {
 				t.Fatalf("case%d w=%d: %v", n, w, err)
 			}
@@ -60,7 +60,7 @@ func TestCoarseGrainScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(res.Trace, Config{Workers: 8})
+	r, err := Run(trace.FromTrace(res.Trace), Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFineGrainCollapses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r12, err := Run(res.Trace, Config{Workers: 12})
+	r12, err := Run(trace.FromTrace(res.Trace), Config{Workers: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestKneeAroundEightWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Run(res.Trace, Config{Workers: 8})
+	r8, err := Run(trace.FromTrace(res.Trace), Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r24, err := Run(res.Trace, Config{Workers: 24})
+	r24, err := Run(trace.FromTrace(res.Trace), Config{Workers: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestKneeAroundEightWorkers(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	tr, _ := synth.Case(7)
-	a, err := Run(tr, Config{Workers: 6})
+	a, err := Run(trace.FromTrace(tr), Config{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tr, Config{Workers: 6})
+	b, err := Run(trace.FromTrace(tr), Config{Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

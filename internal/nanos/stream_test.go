@@ -12,7 +12,11 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStreamWideWindowMatchesRun locks the streaming entry point to the
+// streamed hides a trace's adapter from trace.AlreadyMaterialized, so
+// Run streams it the way it streams a generated source.
+type streamed struct{ trace.Source }
+
+// TestStreamWideWindowMatchesRun locks a streamed run to the
 // materialized one: an unbounded window (0) or one wider than the whole
 // trace never parks the master, so every event fires at the same cycle
 // and the streamed aggregates must equal the materialized run's —
@@ -25,7 +29,7 @@ func TestStreamWideWindowMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 4, 12} {
-			want, err := Run(tr, Config{Workers: w})
+			want, err := Run(trace.FromTrace(tr), Config{Workers: w})
 			if err != nil {
 				t.Fatalf("case%d w=%d: %v", n, w, err)
 			}
@@ -35,7 +39,7 @@ func TestStreamWideWindowMatchesRun(t *testing.T) {
 					n, w, want.FirstStart, want.ThrTask, first, thr)
 			}
 			for _, win := range []int{0, len(tr.Tasks) + 1} {
-				got, err := RunSource(trace.FromTrace(tr), Config{Workers: w, Window: win})
+				got, err := Run(streamed{trace.FromTrace(tr)}, Config{Workers: w, Window: win})
 				if err != nil {
 					t.Fatalf("case%d w=%d window %d: %v", n, w, win, err)
 				}
@@ -60,17 +64,17 @@ func TestStreamBoundedWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	base, err := Run(tr, Config{Workers: 4})
+	base, err := Run(trace.FromTrace(tr), Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := uint64(0)
 	for _, win := range []int{1, 2, 8, 64} {
-		a, err := RunSource(trace.FromTrace(tr), Config{Workers: 4, Window: win})
+		a, err := Run(trace.FromTrace(tr), Config{Workers: 4, Window: win})
 		if err != nil {
 			t.Fatalf("window %d: %v", win, err)
 		}
-		b, err := RunSource(trace.FromTrace(tr), Config{Workers: 4, Window: win})
+		b, err := Run(trace.FromTrace(tr), Config{Workers: 4, Window: win})
 		if err != nil {
 			t.Fatalf("window %d rerun: %v", win, err)
 		}
@@ -97,7 +101,7 @@ func TestStreamRestrictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, win := range []int{0, 8} {
-		if _, err := RunSource(trace.FromTrace(tr), Config{Workers: 2, Window: win, Sched: sched.Priority}); !errors.Is(err, sched.ErrNoBottomLevels) {
+		if _, err := Run(streamed{trace.FromTrace(tr)}, Config{Workers: 2, Window: win, Sched: sched.Priority}); !errors.Is(err, sched.ErrNoBottomLevels) {
 			t.Fatalf("priority, window %d: got %v, want sched.ErrNoBottomLevels", win, err)
 		}
 	}
@@ -106,7 +110,7 @@ func TestStreamRestrictions(t *testing.T) {
 // TestStreamEmptySource mirrors TestErrors' empty-trace case on the
 // streaming path.
 func TestStreamEmptySource(t *testing.T) {
-	r, err := RunSource(trace.FromTrace(&trace.Trace{}), Config{Workers: 2, Window: 4})
+	r, err := Run(trace.FromTrace(&trace.Trace{}), Config{Workers: 2, Window: 4})
 	if err != nil || r.Makespan != 0 {
 		t.Fatalf("empty stream: %v %+v", err, r)
 	}

@@ -9,19 +9,10 @@ import (
 	"sync"
 
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
 )
-
-// Result is the outcome of a roofline run.
-type Result struct {
-	Workers  int
-	Makespan uint64
-	Baseline uint64
-	Speedup  float64
-	Start    []uint64
-	Finish   []uint64
-}
 
 // runHeap orders running tasks by finish time. It is a typed binary
 // heap rather than container/heap (which boxes every pushed item into an
@@ -109,10 +100,32 @@ func (s *runScratch) grab(n int) {
 	s.running = s.running[:0]
 }
 
-// Run schedules the trace on `workers` zero-overhead workers: a task
+// Run schedules the trace on a zero-overhead platform of the given
+// worker classes and records the schedule. A uniform class list (one
+// baseline class, no affinity) takes the homogeneous list pass: a task
 // starts the moment a worker is free and all its predecessors have
 // finished; ties dispatch in creation order.
-func Run(tr *trace.Trace, workers int) (*Result, error) {
+//
+// Greedy work-conserving scheduling is not anomaly-free under
+// heterogeneity — eagerly starting a task on a slow idle worker can lose
+// to waiting for a fast one — so a single list pass is too weak to serve
+// as a roofline. Heterogeneous classes therefore run four achievable
+// schedules and return the best: {becoming-ready FIFO, critical-path
+// priority weighted by each task's best eligible class} x {any eligible
+// class, best eligible class only}. Every candidate is a real schedule
+// (it passes the dependence oracle), so the minimum is achievable and
+// the property-suite "engine >= perfect" invariant stays meaningful
+// under worker classes.
+func Run(tr *trace.Trace, classes sched.Classes) (*sim.Result, error) {
+	if classes.Uniform() {
+		return runUniform(tr, classes.Workers())
+	}
+	return runClasses(tr, classes)
+}
+
+// runUniform is the homogeneous list pass on `workers` identical
+// workers.
+func runUniform(tr *trace.Trace, workers int) (*sim.Result, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("perfect: need at least 1 worker, got %d", workers)
 	}
@@ -121,7 +134,7 @@ func Run(tr *trace.Trace, workers int) (*Result, error) {
 	}
 	g := taskgraph.Build(tr)
 	n := g.N
-	res := &Result{
+	res := &sim.Result{
 		Workers:  workers,
 		Baseline: tr.Baseline(),
 		Start:    make([]uint64, n),
@@ -192,37 +205,12 @@ func Run(tr *trace.Trace, workers int) (*Result, error) {
 		}
 	}
 
-	for _, f := range res.Finish {
-		if f > res.Makespan {
-			res.Makespan = f
-		}
-	}
-	if res.Makespan > 0 {
-		res.Speedup = float64(res.Baseline) / float64(res.Makespan)
-	}
-	return res, nil
+	return stamp(res), nil
 }
 
-// RunClasses schedules the trace on a heterogeneous zero-overhead
-// platform. Greedy work-conserving scheduling is not anomaly-free under
-// heterogeneity — eagerly starting a task on a slow idle worker can lose
-// to waiting for a fast one — so a single list pass is too weak to serve
-// as a roofline. RunClasses therefore runs four achievable schedules and
-// returns the best: {becoming-ready FIFO, critical-path priority
-// weighted by each task's best eligible class} x {any eligible class,
-// best eligible class only}. Every candidate is a real schedule (it
-// passes the dependence oracle), so the minimum is achievable and the
-// property-suite "engine >= perfect" invariant stays meaningful under
-// worker classes. Uniform single-class platforms take the homogeneous
-// Run path, which this generalizes.
-func RunClasses(tr *trace.Trace, classes sched.Classes) (*Result, error) {
-	if classes.Uniform() {
-		workers := classes.Workers()
-		if len(classes) == 0 {
-			workers = 0
-		}
-		return Run(tr, workers)
-	}
+// runClasses is the heterogeneous roofline: the best of the four list
+// passes Run describes.
+func runClasses(tr *trace.Trace, classes sched.Classes) (*sim.Result, error) {
 	if err := classes.Validate(); err != nil {
 		return nil, err
 	}
@@ -232,7 +220,7 @@ func RunClasses(tr *trace.Trace, classes sched.Classes) (*Result, error) {
 	g := taskgraph.Build(tr)
 	n := g.N
 	if n == 0 {
-		return &Result{
+		return &sim.Result{
 			Workers:  classes.Workers(),
 			Baseline: tr.Baseline(),
 			Start:    []uint64{},
@@ -262,7 +250,7 @@ func RunClasses(tr *trace.Trace, classes sched.Classes) (*Result, error) {
 		wbl[i] = down + scaleMult(m, g.Durations[i])
 	}
 
-	var best *Result
+	var best *sim.Result
 	for _, cand := range [...]struct {
 		prio     []uint64
 		bestOnly bool
@@ -300,10 +288,10 @@ func scaleMult(m float64, dur uint64) uint64 {
 // and when prio is nil) to the idle eligible worker with the smallest
 // multiplier (lowest worker index on ties); with bestOnly a task only
 // accepts classes matching its best eligible multiplier.
-func runClassList(tr *trace.Trace, classes sched.Classes, g *taskgraph.Graph, el [][]bool, prio []uint64, bestOnly bool) (*Result, error) {
+func runClassList(tr *trace.Trace, classes sched.Classes, g *taskgraph.Graph, el [][]bool, prio []uint64, bestOnly bool) (*sim.Result, error) {
 	n := g.N
 	workers := classes.Workers()
-	res := &Result{
+	res := &sim.Result{
 		Workers:  workers,
 		Baseline: tr.Baseline(),
 		Start:    make([]uint64, n),
@@ -417,13 +405,18 @@ func runClassList(tr *trace.Trace, classes sched.Classes, g *taskgraph.Graph, el
 		}
 	}
 
+	return stamp(res), nil
+}
+
+// stamp fills the aggregates of a complete schedule: the makespan, the
+// speedup over the sequential baseline and the Table IV probes.
+func stamp(res *sim.Result) *sim.Result {
 	for _, f := range res.Finish {
-		if f > res.Makespan {
-			res.Makespan = f
-		}
+		res.Makespan = max(res.Makespan, f)
 	}
 	if res.Makespan > 0 {
 		res.Speedup = float64(res.Baseline) / float64(res.Makespan)
 	}
-	return res, nil
+	res.FirstStart, res.ThrTask = sim.Probes(res.Start)
+	return res
 }

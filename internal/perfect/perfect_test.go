@@ -7,16 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/sched"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
 )
 
 func TestErrors(t *testing.T) {
 	tr := &trace.Trace{}
-	if _, err := Run(tr, 0); err == nil {
+	if _, err := Run(tr, sched.Single(0)); err == nil {
 		t.Fatal("accepted 0 workers")
 	}
-	if r, err := Run(tr, 4); err != nil || r.Makespan != 0 {
+	if r, err := Run(tr, sched.Single(4)); err != nil || r.Makespan != 0 {
 		t.Fatalf("empty trace: %v %+v", err, r)
 	}
 }
@@ -29,7 +30,7 @@ func TestChainIsSerial(t *testing.T) {
 			Deps: []trace.Dep{{Addr: 0xA, Dir: trace.InOut}},
 		})
 	}
-	r, err := Run(tr, 8)
+	r, err := Run(tr, sched.Single(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestIndependentPerfectlyParallel(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		tr.Tasks = append(tr.Tasks, trace.Task{ID: uint32(i), Duration: 100})
 	}
-	r, err := Run(tr, 4)
+	r, err := Run(tr, sched.Single(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestLegalityAndBounds(t *testing.T) {
 	seq := tr.SeqCycles()
 	prev := uint64(1 << 62)
 	for _, w := range []int{1, 2, 4, 8, 16, 32} {
-		r, err := Run(tr, w)
+		r, err := Run(tr, sched.Single(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestLegalityAndBounds(t *testing.T) {
 		prev = r.Makespan
 	}
 	// One worker == sequential.
-	r1, _ := Run(tr, 1)
+	r1, _ := Run(tr, sched.Single(1))
 	if r1.Makespan != seq {
 		t.Fatalf("1 worker makespan %d != sequential %d", r1.Makespan, seq)
 	}
@@ -124,7 +125,7 @@ func TestGreedyBoundProperty(t *testing.T) {
 		}
 		g := taskgraph.Build(tr)
 		w := 1 + rng.Intn(8)
-		r, err := Run(tr, w)
+		r, err := Run(tr, sched.Single(w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,9 +184,10 @@ func BenchmarkRun(b *testing.B) {
 		}
 		tr := res.Trace
 		b.Run(tr.Name, func(b *testing.B) {
+			classes := sched.Single(12)
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := Run(tr, 12); err != nil {
+				if _, err := Run(tr, classes); err != nil {
 					b.Fatal(err)
 				}
 			}

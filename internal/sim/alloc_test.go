@@ -21,24 +21,23 @@ import (
 //     Result — the start/finish/order schedule arrays, the Result and
 //     stats values, and the per-unit busy snapshot — which measured 8
 //     allocations; everything else (accelerator memories, FIFOs, worker
-//     heaps, the horizon heap, the platform's trace adapter) is
-//     pool-reused. Headroom covers pool misses when a GC lands
+//     heaps, the horizon heap, RunTrace's recycled trace adapter) is
+//     reused. Headroom covers pool misses when a GC lands
 //     mid-measurement.
 //   - picos-hw and picos-full on cholesky/32 (45,760 tasks) under a
-//     64-descriptor window: RunTrace wraps the trace as a Source, and the
-//     platform indexes a materialized source in place instead of copying
-//     each live descriptor to the heap, so a warm run measured 6
-//     allocations.
+//     64-descriptor window: the platform indexes the materialized
+//     source in place instead of copying each live descriptor to the
+//     heap, so a warm run measured 5 allocations.
 //   - nanos on cholesky/32 (45,760 tasks, 12 workers) and h264dec/2
 //     (34,800 tasks): the pooled event loop, its live table and its
 //     pointer-free taskgraph.Incremental reuse every buffer, so a warm
-//     run measured 8 allocations on each (9 in some runs on h264dec/2)
-//     — the Result and its schedule arrays. The per-address analysis
-//     state used to cost 13,788 and 102,072.
+//     run measured 6 allocations on each (7 in some runs on h264dec/2),
+//     the Result and its schedule arrays among them. The per-address
+//     analysis state used to cost 13,788 and 102,072.
 //   - perfect on cholesky/32 and h264dec/2: the roofline builds a fresh
 //     taskgraph.Graph per run — two CSR arenas plus the row headers —
 //     and its address table doubles up to the distinct addresses (2,080
-//     and 34,810), which measured 40 and 54 to 57 allocations per warm
+//     and 34,810), which measured 39 and 53 to 54 allocations per warm
 //     run. A Go map as the address index cost 61 and 317; a
 //     map-of-pointers analysis with one slice per task and
 //     container/heap boxing used to cost 341,361 and 391,851.

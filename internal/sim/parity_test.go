@@ -9,8 +9,10 @@ import (
 	"repro/internal/nanos"
 	"repro/internal/perfect"
 	"repro/internal/picos"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/synth"
+	"repro/internal/trace"
 
 	_ "repro/internal/engines"
 )
@@ -73,7 +75,7 @@ func TestNanosEngineParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := nanos.Run(tr, nanos.Config{Workers: sim.DefaultWorkers})
+			want, err := nanos.Run(trace.FromTrace(tr), nanos.Config{Workers: sim.DefaultWorkers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +103,7 @@ func TestPerfectEngineParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := perfect.Run(tr, sim.DefaultWorkers)
+			want, err := perfect.Run(tr, sched.Single(sim.DefaultWorkers))
 			if err != nil {
 				t.Fatal(err)
 			}

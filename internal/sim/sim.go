@@ -10,9 +10,11 @@
 // ordering — the {engine x workload x mode x worker-count} matrices of
 // Tables I-IV and Figures 6-11 become one call.
 //
-// Engines live with the models they wrap and register in their package
-// init; import repro/internal/engines (blank import) to get all of the
-// built-ins:
+// Every run enters through RunSource, the one dispatcher: Run builds the
+// workload first, RunTrace wraps a built trace as a Source, and each
+// engine implements a single Run over a trace.Source. Engines live with
+// the models they wrap and register in their package init; import
+// repro/internal/engines (blank import) to get all of the built-ins:
 //
 //	import _ "repro/internal/engines"
 //
@@ -30,22 +32,23 @@ import (
 	"repro/internal/trace"
 )
 
-// Engine is one execution model: it schedules a trace's task graph under
-// a Spec and reports a shared Result. Implementations register
+// Engine is one execution model: it schedules a task stream's graph
+// under a Spec and reports a shared Result. Implementations register
 // themselves with Register (typically from package init) and must be
-// safe for concurrent Run and RunStream calls — Sweep invokes them from
-// many goroutines.
+// safe for concurrent Run calls — Sweep invokes them from many
+// goroutines.
 type Engine interface {
 	// Name is the registry key, e.g. "picos-hw" or "nanos".
 	Name() string
-	// Run executes the trace. The returned Result may leave the
-	// Engine/Workload labels empty; sim.Run stamps them.
-	Run(tr *trace.Trace, spec Spec) (*Result, error)
-	// RunStream feeds from a trace.Source under a bounded descriptor
-	// window (Spec.Window > 0) instead of indexing a materialized trace.
-	// It must keep at most Spec.Window created-but-unretired descriptors
-	// live, so arbitrarily long sources replay in O(window) heap.
-	RunStream(src trace.Source, spec Spec) (*Result, error)
+	// Run executes the source under a spec that RunSource has defaulted
+	// and checked. At Spec.Window == 0 the source is materialized (see
+	// trace.AlreadyMaterialized) and the run records its per-task
+	// schedule; at a positive window it must keep at most Spec.Window
+	// created-but-unretired descriptors live, so arbitrarily long
+	// sources replay in O(window) heap. Run must not retain src once it
+	// returns. The returned Result may leave the Engine/Workload labels
+	// empty; RunSource stamps them.
+	Run(src trace.Source, spec Spec) (*Result, error)
 }
 
 var (
@@ -120,53 +123,63 @@ func Run(spec Spec) (*Result, error) {
 	return RunTrace(tr, spec)
 }
 
-// RunTrace executes an already-built trace on the spec's engine. Use it
-// for hand-built or procedurally generated traces that are not in the
-// workload registry. A bounded window routes the trace through the
-// streaming driver (wrapped as a Source), so every RunTrace caller —
-// sweeps, the equivalence matrix, property suites — honors Spec.Window.
+// adapters recycles the Source adapters RunTrace wraps its traces in,
+// so a warm run allocates none. A sync.Pool would not do: a collection
+// empties it, and a run large enough to trigger one would pay for a
+// fresh adapter every time. The list keeps at most 64 idle adapters,
+// more than a sweep runs at once on hosts of up to 64 CPUs; an adapter
+// returned to a full list is left to the collector.
+var adapters = make(chan *trace.TraceSource, 64)
+
+// RunTrace executes an already-built trace on the spec's engine: it is
+// RunSource over the trace wrapped as a Source. Use it for hand-built
+// or procedurally generated traces that are not in the workload
+// registry.
 func RunTrace(tr *trace.Trace, spec Spec) (*Result, error) {
-	spec = spec.WithDefaults()
-	if spec.Window > 0 {
-		return RunSource(trace.FromTrace(tr), spec)
+	var ts *trace.TraceSource
+	select {
+	case ts = <-adapters:
+	default:
+		ts = new(trace.TraceSource)
 	}
-	e, err := Lookup(spec.Engine)
-	if err != nil {
-		return nil, err
+	*ts = *trace.FromTrace(tr)
+	res, err := RunSource(ts, spec)
+	*ts = trace.TraceSource{} // a recycled adapter must not keep the trace alive
+	select {
+	case adapters <- ts:
+	default:
 	}
-	res, err := e.Run(tr, spec)
-	return label(e, tr.Name, res, err)
+	return res, err
 }
 
-// RunSource executes a streaming task source on the spec's engine under
-// the spec's bounded window. With Window == 0 (unbounded) the source is
-// materialized and runs through RunTrace.
+// RunSource executes a task source on the spec's engine; every run goes
+// through it. A positive Spec.Window streams the source under that
+// bounded window. Window == 0 (unbounded) materializes a streamed
+// source first, so the engine records the schedule of the whole graph.
+// A negative window is refused with ErrNegativeWindow.
 func RunSource(src trace.Source, spec Spec) (*Result, error) {
 	spec = spec.WithDefaults()
-	if spec.Window <= 0 {
+	if spec.Window < 0 {
+		return nil, fmt.Errorf("%w, got %d", ErrNegativeWindow, spec.Window)
+	}
+	if spec.Window == 0 && trace.AlreadyMaterialized(src) == nil {
 		tr, err := trace.Materialize(src)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s on %s: %w", spec.Engine, src.Name(), err)
 		}
-		return RunTrace(tr, spec)
+		src = trace.FromTrace(tr)
 	}
 	e, err := Lookup(spec.Engine)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.RunStream(src, spec)
-	return label(e, src.Name(), res, err)
-}
-
-// label wraps an engine error with the engine and workload names, or
-// stamps both onto the engine's Result.
-func label(e Engine, workload string, res *Result, err error) (*Result, error) {
+	res, err := e.Run(src, spec)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", e.Name(), workload, err)
+		return nil, fmt.Errorf("sim: %s on %s: %w", e.Name(), src.Name(), err)
 	}
 	res.Engine = e.Name()
 	if res.Workload == "" {
-		res.Workload = workload
+		res.Workload = src.Name()
 	}
 	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -103,9 +104,13 @@ func TestWorkloadSizing(t *testing.T) {
 	}
 }
 
-// TestRunTraceAndVerify: hand-built traces run through RunTrace, get
-// stamped with the engine and trace names, and verify against the
-// dependence oracle.
+// TestRunTraceAndVerify pins the engine contract on every registered
+// engine: RunTrace stamps the engine and trace names, and at Window 0
+// the run records a schedule of every task that verifies against the
+// dependence oracle. Under a window wider than the trace the streaming
+// engines report the same aggregates with no schedule arrays, while the
+// perfect roofline, which materializes at any window, keeps its
+// schedule.
 func TestRunTraceAndVerify(t *testing.T) {
 	tr := &trace.Trace{Name: "hand-built"}
 	a := uint64(0x100)
@@ -113,26 +118,53 @@ func TestRunTraceAndVerify(t *testing.T) {
 		{ID: 0, Duration: 10, Deps: []trace.Dep{{Addr: a, Dir: trace.Out}}},
 		{ID: 1, Duration: 10, Deps: []trace.Dep{{Addr: a, Dir: trace.In}}},
 	}
-	res, err := sim.RunTrace(tr, sim.Spec{Engine: "perfect", Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != "perfect" || res.Workload != "hand-built" {
-		t.Fatalf("labels not stamped: %q/%q", res.Engine, res.Workload)
-	}
-	if err := sim.Verify(tr, res); err != nil {
-		t.Fatalf("legal schedule rejected: %v", err)
-	}
-	// A corrupted schedule must be rejected.
-	res.Start[1] = 0
-	if err := sim.Verify(tr, res); err == nil {
-		t.Fatal("dependence-violating schedule verified")
+	for _, engine := range sim.Engines() {
+		t.Run(engine, func(t *testing.T) {
+			res, err := sim.RunTrace(tr, sim.Spec{Engine: engine, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Engine != engine || res.Workload != "hand-built" {
+				t.Fatalf("labels not stamped: %q/%q", res.Engine, res.Workload)
+			}
+			if len(res.Start) != len(tr.Tasks) || len(res.Finish) != len(tr.Tasks) {
+				t.Fatalf("schedule has %d starts and %d finishes for %d tasks", len(res.Start), len(res.Finish), len(tr.Tasks))
+			}
+			if err := sim.Verify(tr, res); err != nil {
+				t.Fatalf("legal schedule rejected: %v", err)
+			}
+
+			wide, err := sim.RunTrace(tr, sim.Spec{Engine: engine, Workers: 2, Window: len(tr.Tasks) + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wide.Makespan != res.Makespan || wide.Baseline != res.Baseline ||
+				wide.FirstStart != res.FirstStart || wide.ThrTask != res.ThrTask {
+				t.Fatalf("windowed aggregates %d/%d/%d/%g, unbounded %d/%d/%d/%g",
+					wide.Makespan, wide.Baseline, wide.FirstStart, wide.ThrTask,
+					res.Makespan, res.Baseline, res.FirstStart, res.ThrTask)
+			}
+			if engine == "perfect" {
+				if !reflect.DeepEqual(wide.Start, res.Start) || !reflect.DeepEqual(wide.Finish, res.Finish) {
+					t.Fatal("the roofline's windowed schedule differs from its unbounded one")
+				}
+			} else if wide.Start != nil || wide.Finish != nil || wide.Order != nil {
+				t.Fatal("windowed run carries schedule arrays")
+			}
+
+			// A corrupted schedule must be rejected.
+			res.Start[1] = 0
+			if err := sim.Verify(tr, res); err == nil {
+				t.Fatal("dependence-violating schedule verified")
+			}
+		})
 	}
 }
 
 // TestMalformedTraceErrors: every registered engine, with and without
-// worker classes, rejects a malformed hand-built trace with the typed
-// trace error — never a panic, a silent run or a misreported cause.
+// worker classes, materialized and under a window, rejects a malformed
+// hand-built trace with the typed trace error — never a panic, a silent
+// run or a misreported cause.
 func TestMalformedTraceErrors(t *testing.T) {
 	valid := func() *trace.Trace {
 		tr := &trace.Trace{Name: "malformed", Kinds: []string{"k"}}
@@ -161,8 +193,13 @@ func TestMalformedTraceErrors(t *testing.T) {
 			for _, spec := range []sim.Spec{
 				{Engine: engine, Workers: 2},
 				{Engine: engine, WorkerClasses: "1xa+1xb:2.0"},
+				{Engine: engine, Workers: 2, Window: 2},
 			} {
-				t.Run(fmt.Sprintf("%s/%s/workers=%d,classes=%s", c.name, engine, spec.Workers, spec.WorkerClasses), func(t *testing.T) {
+				name := fmt.Sprintf("%s/%s/workers=%d,classes=%s", c.name, engine, spec.Workers, spec.WorkerClasses)
+				if spec.Window != 0 {
+					name += fmt.Sprintf(",window=%d", spec.Window)
+				}
+				t.Run(name, func(t *testing.T) {
 					tr := valid()
 					c.mutate(&tr.Tasks[2])
 					defer func() {

@@ -82,8 +82,8 @@ type Spec struct {
 	// created-but-unretired task descriptors the engine keeps live at
 	// once (the paper's prototype consumes a bounded descriptor stream,
 	// never a whole graph). 0 means unbounded — the workload is
-	// materialized and runs through the engine's Run, which records the
-	// per-task schedule. A positive window
+	// materialized and the engine records the per-task schedule; a
+	// negative window is refused with ErrNegativeWindow. A positive window
 	// streams the workload through trace.Source in O(window) heap;
 	// results can legitimately differ from the unbounded run because the
 	// window is modeled backpressure on creation, composing with
@@ -124,6 +124,11 @@ func (s Spec) FastPath() bool { return s.FastForward == nil || *s.FastForward }
 // conflicting explicit count is a construction error, not a silent
 // precedence rule.
 var ErrWorkersAndClasses = errors.New("sim: Spec sets both Workers and WorkerClasses")
+
+// ErrNegativeWindow is returned when a Spec sets a negative Window: 0
+// already means unbounded, so a negative bound has no meaning to fall
+// back on.
+var ErrNegativeWindow = errors.New("sim: Spec.Window must be >= 0 (0 = unbounded)")
 
 // SchedPlan parses the scheduling knobs (WorkerClasses, Sched, Steal)
 // into a sched.Plan — the single place the class grammar and policy

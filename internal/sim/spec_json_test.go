@@ -88,10 +88,11 @@ func TestSpecJSONOmitEmpty(t *testing.T) {
 	}
 }
 
-// TestWorkersAndClassesConflict checks the typed construction error:
+// TestWorkersAndClassesConflict checks the typed construction errors:
 // setting both Workers and WorkerClasses is rejected by SchedPlan and
-// ClassPlan with ErrWorkersAndClasses, and surfaces through sim.Run for
-// every engine that reads the scheduling knobs.
+// ClassPlan with ErrWorkersAndClasses, and a negative Window by the
+// dispatcher with ErrNegativeWindow; both surface through sim.Run for
+// every engine.
 func TestWorkersAndClassesConflict(t *testing.T) {
 	spec := sim.Spec{Workers: 8, WorkerClasses: "4xfast+4xslow:2.0"}
 
@@ -102,12 +103,23 @@ func TestWorkersAndClassesConflict(t *testing.T) {
 		t.Errorf("ClassPlan: got %v, want ErrWorkersAndClasses", err)
 	}
 
-	for _, engine := range []string{"picos-hw", "picos-comm", "picos-full", "nanos", "perfect"} {
-		run := spec
-		run.Engine = engine
-		run.Workload = "case1"
-		if _, err := sim.Run(run); !errors.Is(err, sim.ErrWorkersAndClasses) {
-			t.Errorf("%s: Run got %v, want ErrWorkersAndClasses", engine, err)
+	for _, c := range []struct {
+		spec sim.Spec
+		want error
+	}{
+		{spec, sim.ErrWorkersAndClasses},
+		{sim.Spec{Window: -5}, sim.ErrNegativeWindow},
+		{sim.Spec{Window: -1, Workload: "pattern:stencil_1d?width=4&steps=2"}, sim.ErrNegativeWindow},
+	} {
+		for _, engine := range sim.Engines() {
+			run := c.spec
+			run.Engine = engine
+			if run.Workload == "" {
+				run.Workload = "case1"
+			}
+			if _, err := sim.Run(run); !errors.Is(err, c.want) {
+				t.Errorf("%s %+v: Run got %v, want %v", engine, c.spec, err, c.want)
+			}
 		}
 	}
 

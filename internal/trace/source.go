@@ -37,9 +37,11 @@ type Source interface {
 	RefSeqCycles() uint64
 }
 
-// TraceSource adapts a materialized *Trace to the Source interface — the
-// back-compat bridge that lets every existing workload flow through the
-// streaming drivers unchanged.
+// TraceSource adapts a materialized *Trace to the Source interface: a
+// stream whose window never closes. sim.RunTrace runs every built trace
+// through one, and engines recognize it (AlreadyMaterialized): under an
+// unbounded window they validate the trace once and record its
+// schedule.
 type TraceSource struct {
 	tr   *Trace
 	next int
