@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -33,9 +34,9 @@ import (
 
 // benchEntry is one line of the -json output: wall-clock ns for one
 // experiment under the event-driven fast path and under the per-cycle
-// reference loop, their ratio, and the heap allocations one fast-path
-// run performs (warm engine pools drive this toward the workload's
-// Result payload alone).
+// reference loop, their ratio, and the heap allocations of a warm
+// fast-path run, the minimum over allocRuns runs (warm engine pools
+// drive this toward the workload's Result payload alone).
 type benchEntry struct {
 	Experiment    string  `json:"experiment"`
 	Quick         bool    `json:"quick"`
@@ -150,13 +151,19 @@ func measureExperiment(name string, quick bool) benchEntry {
 		runOnce(refOpt)
 	}
 
-	// Allocations of one warm fast-path run (sweep goroutines included:
-	// Mallocs is process-wide and nothing else is running).
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	runOnce(fastOpt)
-	runtime.ReadMemStats(&after)
-	allocs := after.Mallocs - before.Mallocs
+	// Allocations of a warm fast-path run (sweep goroutines included:
+	// Mallocs is process-wide and nothing else is running). One run's
+	// delta also carries whatever pool refills and collections fall
+	// inside it, which swing it by tens of percent; the minimum over
+	// allocRuns runs is the run that paid the fewest of them.
+	allocs := uint64(math.MaxUint64)
+	for range allocRuns {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runOnce(fastOpt)
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+	}
 
 	if !sensitive {
 		// Nothing in this experiment branches on the fast-path knob:
@@ -215,6 +222,10 @@ func measureExperiment(name string, quick bool) benchEntry {
 	}
 	return e
 }
+
+// allocRuns is the number of warm fast-path runs whose minimum heap
+// allocation count a bench entry reports.
+const allocRuns = 9
 
 // minSignificantNs is the reference-loop wall time below which a bench
 // row is reported but not gated: the ratio of two microsecond-scale

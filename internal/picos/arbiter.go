@@ -62,22 +62,20 @@ func (a *arbiter) step(now uint64) {
 			// it on the same flow).
 			at += f.ArbStallDelay(now)
 		}
-		switch m.kind {
+		switch b := &m.body; m.kind {
 		case arbStat:
-			t := a.p.trs[m.stat.task.TRS]
-			t.statusQ.push(m.stat, at)
+			a.p.trs[b.task.TRS].statusQ.push(*b, at)
 		case arbWake:
-			t := a.p.trs[m.wake.task.TRS]
-			t.wakeQ.push(m.wake, at)
+			a.p.trs[b.task.TRS].wakeQ.push(wakePkt{task: b.task, vm: b.vm}, at)
 		case arbFin:
 			// DCT-bound traffic pays the destination shard's chain
 			// distance on top of the arbiter hop (shard 0 is adjacent).
-			d := a.p.dct[m.fin.vm.DCT]
-			d.finQ.push(m.fin, at+uint64(m.fin.vm.DCT)*a.timing.ShardHop)
+			shard := b.vm.DCT
+			a.p.dct[shard].finQ.push(finishDepPkt{task: b.task, vm: b.vm}, at+uint64(shard)*a.timing.ShardHop)
 		case arbNewDep:
-			shard := a.p.dctOf(m.dep.addr)
-			d := a.p.dct[shard]
-			d.newDepQ.push(m.dep, at+uint64(shard)*a.timing.ShardHop)
+			shard := a.p.dctOf(m.addr)
+			pkt := newDepPkt{addr: m.addr, task: b.task, depIdx: b.depIdx, dir: m.dir}
+			a.p.dct[shard].newDepQ.push(pkt, at+uint64(shard)*a.timing.ShardHop)
 		}
 	}
 }
@@ -96,33 +94,38 @@ type arbEntry struct {
 
 // arbHeap is a binary min-heap of messages keyed (at, seq): the head is
 // the earliest-visible message, with ties resolved in issue order so
-// same-cycle sends route exactly as the pre-heap FIFO did. Storage is
-// reused across resets.
+// same-cycle sends route exactly as the pre-heap FIFO did. The keys are
+// unique, so the pop order is fixed whatever the heap's layout; sifts
+// move a hole and write the moving entry once. Storage is reused across
+// resets.
 type arbHeap struct {
 	h   []arbEntry
 	seq uint64
 }
 
-func (q *arbHeap) less(i, j int) bool {
-	if q.h[i].at != q.h[j].at {
-		return q.h[i].at < q.h[j].at
+// before reports whether e routes ahead of o.
+func (e *arbEntry) before(o *arbEntry) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q.h[i].seq < q.h[j].seq
+	return e.seq < o.seq
 }
 
 //picos:hotpath
 func (q *arbHeap) push(m arbMsg, at uint64) {
-	q.h = append(q.h, arbEntry{at: at, seq: q.seq, m: m})
+	e := arbEntry{at: at, seq: q.seq, m: m}
 	q.seq++
+	q.h = append(q.h, e)
 	i := len(q.h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !e.before(&q.h[parent]) {
 			break
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
+		q.h[i] = q.h[parent]
 		i = parent
 	}
+	q.h[i] = e
 }
 
 // pop removes and returns the earliest-visible message if its stamp has
@@ -134,26 +137,28 @@ func (q *arbHeap) pop(now uint64) (arbMsg, bool) {
 		return arbMsg{}, false
 	}
 	m := q.h[0].m
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h[last] = arbEntry{}
-	q.h = q.h[:last]
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h = q.h[:n]
+	if n == 0 {
+		return m, true
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(q.h) && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(q.h) && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		q.h[i], q.h[smallest] = q.h[smallest], q.h[i]
-		i = smallest
+		if r := c + 1; r < n && q.h[r].before(&q.h[c]) {
+			c = r
+		}
+		if !q.h[c].before(&last) {
+			break
+		}
+		q.h[i] = q.h[c]
+		i = c
 	}
+	q.h[i] = last
 	return m, true
 }
 
@@ -169,7 +174,6 @@ func (q *arbHeap) headAt() uint64 {
 // reset drops all messages and restarts issue numbering, keeping the
 // backing storage.
 func (q *arbHeap) reset() {
-	clear(q.h)
 	q.h = q.h[:0]
 	q.seq = 0
 }

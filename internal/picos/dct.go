@@ -29,25 +29,29 @@ type dctUnit struct {
 	// Conflict sidetrack register (ConflictSidetrack): one dependence
 	// whose DM set was full, parked out of the queue so registration of
 	// later dependences keeps flowing. The parked dependence retries
-	// every cycle with strict priority over the queue, which preserves
-	// program order per address (a later dependence on the same address
-	// maps to the same — still full — set and can never overtake) and
-	// keeps the set closed to younger insertions, so the head-of-line
-	// deadlock-freedom argument carries over unchanged. parkedStall
-	// records why the last retry failed (the set may drain into a VM
-	// shortage), for the same batch-accounting as the head stall.
+	// every cycle the registration engine is free, with strict priority
+	// over the queue, which preserves program order per address (a later
+	// dependence on the same address maps to the same — still full — set
+	// and can never overtake) and keeps the set closed to younger
+	// insertions, so the head-of-line deadlock-freedom argument carries
+	// over unchanged. parkedStall records why the last retry failed (the
+	// set may drain into a VM shortage), for the same batch-accounting
+	// as the head stall.
 	hasParked   bool
 	parked      newDepPkt
 	parkedSet   int
 	parkedStall stallKind
-	// parkedRetryAt schedules the one retry whose answer changed while
-	// the registration engine was mid-operation: a release may have
-	// freed the parked dependence's set, or a registration took the last
-	// VM entry and turned its DM-set conflict into a VM stall. The engine
-	// frees at busyUntil, and without surfacing that cycle as an event
-	// the fast path would sleep through a retry the per-cycle reference
-	// loop performs (and that may now succeed or charge a different
-	// counter). Zero means no retry is owed; failed retries clear it.
+	// parkedRetryAt is the cycle of the next retry whose answer can
+	// differ from the last one, the only retry the fast path runs. The
+	// answer depends only on this DCT's DM and VM, and it changes in two
+	// cases: a version recycles (completeVersion frees a DM way or a VM
+	// entry), or a registration takes the last VM entry (the DM-set
+	// conflict becomes a VM stall). Either owes a retry at
+	// max(busyUntil, now), the first cycle the registration engine is
+	// free; a release that recycles nothing owes none. The reference
+	// Step still retries at every free cycle, and those extra retries
+	// re-fail with the same answer, so both loops charge the same stall
+	// counters. Zero means no retry is owed; every retry clears it.
 	parkedRetryAt uint64
 
 	busyUntil    uint64 // registration engine
@@ -105,7 +109,11 @@ func (u *dctUnit) reset(design DMDesign) {
 // sidetracked reports whether the conflict sidetrack is enabled.
 func (u *dctUnit) sidetracked() bool { return u.p.cfg.Conflict == ConflictSidetrack }
 
-func (u *dctUnit) step(now uint64) {
+// step runs the DCT for cycle now. reference is set by the
+// cycle-stepped Step, whose parked dependence retries at every cycle the
+// registration engine is free; stepDue passes false, and the parked
+// dependence then retries only when a retry is owed (parkedRetryAt).
+func (u *dctUnit) step(now uint64, reference bool) {
 	// Release engine: frees DM ways and VM entries — including the very
 	// stalls blocking the registration path — without costing
 	// registration throughput.
@@ -119,10 +127,11 @@ func (u *dctUnit) step(now uint64) {
 	// Sidetrack retry port: the parked dependence retries once per cycle
 	// (when the registration engine is free) with priority over the
 	// queue, and charges its stall counter every cycle it stays parked —
-	// exactly what a stalled queue head would have charged. chargeStall
-	// makes the same charge for the cycles the fast path skips.
+	// exactly what a stalled queue head would have charged. The fast
+	// path runs only the owed retries; chargeStall and the charge below
+	// account for the cycles it skips.
 	if u.hasParked {
-		if u.busyUntil <= now {
+		if u.busyUntil <= now && (reference || u.parkedRetryAt != 0) {
 			u.parkedRetryAt = 0
 			if kind := u.tryNewDep(u.parked, now); kind == stallNone {
 				u.hasParked = false
@@ -149,7 +158,7 @@ func (u *dctUnit) step(now uint64) {
 		}
 		kind := u.tryNewDep(pkt, now)
 		if kind == stallNone {
-			u.newDepQ.pop(now)
+			u.newDepQ.drop()
 			u.headStalled = false
 			u.conflictCounted = false
 			u.stall = stallNone
@@ -167,7 +176,7 @@ func (u *dctUnit) step(now uint64) {
 			// head was already counted while waiting on a different set —
 			// and moves to the sidetrack so later dependences (which the
 			// creation pipeline keeps delivering) still flow.
-			u.newDepQ.pop(now)
+			u.newDepQ.drop()
 			u.hasParked = true
 			u.parked = pkt
 			u.parkedSet = u.dm.index(pkt.addr)
@@ -243,11 +252,11 @@ func (u *dctUnit) egress(at uint64) uint64 {
 }
 
 func (u *dctUnit) sendStatus(pkt depStatusPkt, at uint64) {
-	u.p.arb.route(arbMsg{kind: arbStat, stat: pkt}, u.egress(at))
+	u.p.arb.route(arbMsg{kind: arbStat, body: pkt}, u.egress(at))
 }
 
 func (u *dctUnit) sendWake(pkt wakePkt, at uint64) {
-	u.p.arb.route(arbMsg{kind: arbWake, wake: pkt}, u.egress(at))
+	u.p.arb.route(arbMsg{kind: arbWake, body: depStatusPkt{task: pkt.task, vm: pkt.vm}}, u.egress(at))
 }
 
 // tryNewDep registers one dependence (flow N5). It returns stallNone on
@@ -377,12 +386,6 @@ func (u *dctUnit) handleFinish(pkt finishDepPkt, now uint64) {
 	if !leakCredit {
 		u.p.gw.returnCredit(u.id)
 	}
-	if u.hasParked && u.busyUntil > now {
-		// This release may free the parked dependence's set, but the
-		// registration engine is mid-operation: owe a retry at the cycle
-		// it frees (see parkedRetryAt).
-		u.parkedRetryAt = u.busyUntil
-	}
 	v := u.vm.at(pkt.vm.Idx)
 	if !v.used {
 		u.p.stats.ProtocolErrors++
@@ -415,6 +418,12 @@ func (u *dctUnit) handleFinish(pkt finishDepPkt, now uint64) {
 // next version (waking its producer) or free the DM entry when this was
 // the last one.
 func (u *dctUnit) completeVersion(idx uint16, at uint64) {
+	if u.hasParked {
+		// The recycle frees a DM way or a VM entry, which may change the
+		// parked dependence's answer: owe it a retry at the first cycle
+		// the registration engine is free (see parkedRetryAt).
+		u.parkedRetryAt = max(u.busyUntil, at)
+	}
 	v := u.vm.at(idx)
 	e := u.dm.at(v.dm)
 	if v.hasNext {

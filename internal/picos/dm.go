@@ -2,6 +2,7 @@ package picos
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/pearson"
 )
@@ -58,54 +59,58 @@ func (d DMDesign) Ways() int {
 // 1024 entries to keep it coherent with the DM size").
 func (d DMDesign) Capacity() int { return dmSets * d.Ways() }
 
-// dmEntry is one way of the Dependence Memory: the address tag plus the
+// dmEntry is one way of the Dependence Memory besides its tag: the
 // head/tail of the address's version chain in the VM and the number of
 // live versions (the paper's "counters for dependences that have the
-// same address").
+// same address"). Validity and the tag live in the set's row (depMemory).
 type dmEntry struct {
-	valid bool
-	input bool // all accesses so far are inputs (paper's I bit)
-	tag   uint64
+	input bool   // all accesses so far are inputs (paper's I bit)
 	head  uint16 // VM index of the oldest live version
 	tail  uint16 // VM index of the newest version
 	count uint16 // live versions
 }
 
-// dmRef locates a DM entry.
+// dmRef locates a DM entry: at most 64 sets of at most 16 ways.
 type dmRef struct {
-	set, way int
+	set, way uint8
 }
 
 // depMemory is the cache-like address-matching store of a DCT. A
 // single-DCT build owns all dmSets sets; a sharded fabric hands each
 // shard its partition of them (numSets = shardSets(NumDCT)), so the
 // fabric's total capacity stays the design's.
+//
+// It is laid out the way Figure 4 compares: per set, a bitmask of the
+// valid ways and a row of one tag per way (set s owns
+// tags[s*ways:(s+1)*ways], 64 bytes for 8 ways), and beside them a flat
+// array of the entries, indexed like the tags. A lookup walks the valid
+// bits over one row of tags; an insert takes the lowest clear bit, so
+// way 0 keeps the highest priority.
 type depMemory struct {
 	design  DMDesign
 	ways    int
 	numSets int
-	sets    [][]dmEntry
+	valid   []uint16 // per set: bit w set when way w holds a live address
+	tags    []uint64
+	entries []dmEntry
 }
 
 func newDepMemory(design DMDesign, numSets int) *depMemory {
-	m := &depMemory{design: design, ways: design.Ways(), numSets: numSets}
-	m.sets = make([][]dmEntry, numSets)
-	for s := range m.sets {
-		m.sets[s] = make([]dmEntry, m.ways)
+	ways := design.Ways()
+	return &depMemory{
+		design:  design,
+		ways:    ways,
+		numSets: numSets,
+		valid:   make([]uint16, numSets),
+		tags:    make([]uint64, numSets*ways),
+		entries: make([]dmEntry, numSets*ways),
 	}
-	return m
 }
 
-// reset invalidates every entry in place, keeping the way arrays.
-func (m *depMemory) reset() {
-	for s := range m.sets {
-		for w := range m.sets[s] {
-			if m.sets[s][w].valid {
-				m.sets[s][w] = dmEntry{}
-			}
-		}
-	}
-}
+// reset invalidates every entry in place. A way is read only while its
+// valid bit is set, and insert rewrites its tag and entry whole, so the
+// rows keep whatever a freed way last held.
+func (m *depMemory) reset() { clear(m.valid) }
 
 // index computes the set for an address: the Pearson fold for P+8way,
 // the low 6 bits of the word address for the direct-hash designs
@@ -136,11 +141,14 @@ func (m *depMemory) index(addr uint64) int {
 
 // lookup performs the DM compare operation: it returns the entry holding
 // addr if present.
+//
+//picos:hotpath
 func (m *depMemory) lookup(addr uint64) (dmRef, bool) {
 	s := m.index(addr)
-	for w := 0; w < m.ways; w++ {
-		if m.sets[s][w].valid && m.sets[s][w].tag == addr {
-			return dmRef{s, w}, true
+	row := m.tags[s*m.ways : (s+1)*m.ways]
+	for mask := m.valid[s]; mask != 0; mask &= mask - 1 {
+		if w := bits.TrailingZeros16(mask); row[w] == addr {
+			return dmRef{uint8(s), uint8(w)}, true
 		}
 	}
 	return dmRef{}, false
@@ -149,33 +157,33 @@ func (m *depMemory) lookup(addr uint64) (dmRef, bool) {
 // insert claims a free way for addr. It fails when the set is full — a
 // DM conflict, the central performance hazard of Section V-A. Way 0 has
 // the highest priority, as in Figure 4's pseudo code.
+//
+//picos:hotpath
 func (m *depMemory) insert(addr uint64, head uint16, input bool) (dmRef, bool) {
 	s := m.index(addr)
-	for w := 0; w < m.ways; w++ {
-		e := &m.sets[s][w]
-		if !e.valid {
-			*e = dmEntry{valid: true, input: input, tag: addr, head: head, tail: head, count: 1}
-			return dmRef{s, w}, true
-		}
+	free := ^m.valid[s] & (1<<m.ways - 1)
+	if free == 0 {
+		return dmRef{}, false
 	}
-	return dmRef{}, false
+	w := bits.TrailingZeros16(free)
+	m.valid[s] |= 1 << w
+	i := s*m.ways + w
+	m.tags[i] = addr
+	m.entries[i] = dmEntry{input: input, head: head, tail: head, count: 1}
+	return dmRef{uint8(s), uint8(w)}, true
 }
 
 // at returns the entry for a ref.
-func (m *depMemory) at(r dmRef) *dmEntry { return &m.sets[r.set][r.way] }
+func (m *depMemory) at(r dmRef) *dmEntry { return &m.entries[int(r.set)*m.ways+int(r.way)] }
 
 // free invalidates the entry.
-func (m *depMemory) free(r dmRef) { m.sets[r.set][r.way] = dmEntry{} }
+func (m *depMemory) free(r dmRef) { m.valid[r.set] &^= 1 << r.way }
 
 // live returns the number of valid entries (used by drain checks).
 func (m *depMemory) live() int {
 	n := 0
-	for s := range m.sets {
-		for w := range m.sets[s] {
-			if m.sets[s][w].valid {
-				n++
-			}
-		}
+	for _, mask := range m.valid {
+		n += bits.OnesCount16(mask)
 	}
 	return n
 }

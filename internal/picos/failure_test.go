@@ -57,7 +57,7 @@ func TestProtocolErrorOnBogusWake(t *testing.T) {
 		p.Step()
 	}
 	// Inject a wake targeting a VM entry nobody allocated.
-	p.arb.route(arbMsg{kind: arbWake, wake: wakePkt{task: TaskHandle{TRS: 0, Slot: 0}, vm: VMAddr{DCT: 0, Idx: 99}}}, p.now+1)
+	p.arb.route(arbMsg{kind: arbWake, body: depStatusPkt{task: TaskHandle{TRS: 0, Slot: 0}, vm: VMAddr{DCT: 0, Idx: 99}}}, p.now+1)
 	for i := 0; i < 100; i++ {
 		p.Step()
 	}
@@ -73,7 +73,7 @@ func TestProtocolErrorOnBogusRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.arb.route(arbMsg{kind: arbFin, fin: finishDepPkt{task: TaskHandle{}, vm: VMAddr{DCT: 0, Idx: 3}}}, p.now+1)
+	p.arb.route(arbMsg{kind: arbFin, body: depStatusPkt{task: TaskHandle{}, vm: VMAddr{DCT: 0, Idx: 3}}}, p.now+1)
 	for i := 0; i < 100; i++ {
 		p.Step()
 	}

@@ -69,6 +69,36 @@ func lastVMTasks() []trace.Task {
 	return append(tasks, trace.Task{ID: uint32(len(tasks)), Deps: write(9, 1)})
 }
 
+// parkedRecycleTasks parks a dependence on direct-hash set 0 while the
+// DCT's other traffic goes on: 24 writers of fresh addresses in sets
+// 1..24 and 8 readers of one set-2 address come first, then 8 writers
+// fill set 0, a ninth set-0 writer parks, and 39 writers of sets 25..63
+// keep the registration engine busy behind it. Under a uniform hold the
+// early tasks finish first, so while the ninth writer is parked the DCT
+// recycles versions in other sets (a retry is owed, often at the end of
+// a registration, and re-fails) and takes reader releases that recycle
+// nothing (no retry is owed); the parked writer must register at the
+// first cycle a set-0 writer's release frees a way.
+func parkedRecycleTasks() []trace.Task {
+	var tasks []trace.Task
+	add := func(addr uint64, dir trace.Direction) {
+		tasks = append(tasks, trace.Task{ID: uint32(len(tasks)), Deps: []trace.Dep{{Addr: addr, Dir: dir}}})
+	}
+	for set := 1; set <= 24; set++ {
+		add(0x20000+uint64(set)<<2, trace.Out)
+	}
+	for i := 0; i < 8; i++ {
+		add(0x30008, trace.In) // set 2: one version, eight consumers
+	}
+	for k := 0; k <= 8; k++ {
+		add(sameSetAddr(k), trace.Out)
+	}
+	for set := 25; set < 64; set++ {
+		add(0x40000+uint64(set)<<2, trace.Out)
+	}
+	return tasks
+}
+
 // pop is one PopReady call made by driveTo.
 type pop struct {
 	at uint64
@@ -130,19 +160,23 @@ func driveTo(t *testing.T, p *Picos, tasks []trace.Task, hold, horizon uint64, f
 // cycle — same statistics, clock, in-flight count, ready set and pop
 // schedule — at a range of horizons. The held rows keep the GW blocked
 // on TM slots or VM credits and the DCT stalled on a full DM set or VM,
-// so they pin every signal that lets a blocked unit retry. The
-// zero-pipes row lets a packet become routable in the cycle it is sent,
-// so a unit must step in the same cycle another unit fed it.
+// so they pin every signal that lets a blocked unit retry: the two DCT
+// rows pin the two owed retries of a parked dependence, after a
+// registration takes the last VM entry (dct-last-vm) and after a
+// version recycles (dct-parked-recycle). The zero-pipes row lets a
+// packet become routable in the cycle it is sent, so a unit must step
+// in the same cycle another unit fed it.
 func TestRunToMatchesStep(t *testing.T) {
 	credits := DefaultConfig()
 	credits.VMReserve = 400 // 112 credits: admission runs out of credits before TM slots
-	lastVM := DefaultConfig()
-	lastVM.Design = DM8Way
-	lastVM.Admission = AdmitSlotsOnly
+	slots8way := DefaultConfig()
+	slots8way.Design = DM8Way
+	slots8way.Admission = AdmitSlotsOnly
 	slots := DefaultConfig()
 	slots.Admission = AdmitSlotsOnly
 	gwBlocked := func(s Stats) uint64 { return s.GWBlockedCycles }
 	vmStalled := func(s Stats) uint64 { return s.VMStallCycles }
+	dmStalled := func(s Stats) uint64 { return s.DMConflictStallCycles }
 	for _, tc := range []struct {
 		name     string
 		cfg      Config
@@ -154,7 +188,8 @@ func TestRunToMatchesStep(t *testing.T) {
 		{"mixed", Config{}, fastpathTasks(), 0, []uint64{1, 7, 64, 300, 1000, 5000}, nil},
 		{"gw-slots", slots, holdTasks(600, 0), 20_000, []uint64{30_000, 100_000}, gwBlocked},
 		{"gw-credits", credits, holdTasks(600, 1), 20_000, []uint64{30_000, 150_000}, gwBlocked},
-		{"dct-last-vm", lastVM, lastVMTasks(), 0, []uint64{2_000, 10_000}, vmStalled},
+		{"dct-last-vm", slots8way, lastVMTasks(), 0, []uint64{2_000, 10_000}, vmStalled},
+		{"dct-parked-recycle", slots8way, parkedRecycleTasks(), 1000, []uint64{500, 1200, 1800, 1900, 5000}, dmStalled},
 		{"zero-pipes", zeroPipeConfig(), keysTasks(300), 400, []uint64{64, 1000, 10_000, 60_000}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -123,7 +123,7 @@ func (g *gateway) step(now uint64) {
 			// the whole degrade window (leaked credits or version slots
 			// on a sick shard will never come back), so refuse it and
 			// let the surviving shards keep serving instead of wedging.
-			g.newQ.pop(now)
+			g.newQ.drop()
 			g.blocked = false
 			f.RefusedIDs = append(f.RefusedIDs, t.id)
 			f.Fired = true
@@ -144,7 +144,7 @@ func (g *gateway) step(now uint64) {
 			return
 		}
 		g.blocked = false
-		g.newQ.pop(now)
+		g.newQ.drop()
 		cost := g.timing.GWNewTask + uint64(len(t.deps))*g.timing.GWPerDep
 		if f := p.cfg.Faults; f != nil {
 			// gw:stall — a one-shot admission-path stall extending this
@@ -162,22 +162,16 @@ func (g *gateway) step(now uint64) {
 		sharded := len(p.dct) > 1
 		for i, d := range t.deps {
 			at := now + g.timing.GWNewTask + uint64(i+1)*g.timing.GWPerDep + g.timing.GWPipe
-			pkt := newDepPkt{
-				task:   handle,
-				depIdx: uint8(i),
-				addr:   d.Addr,
-				dir:    d.Dir,
-			}
 			if sharded {
 				// On a sharded fabric the GW has no private port per
 				// shard: dependence traffic crosses the arbiter and pays
 				// the destination shard's chain distance like every
 				// other DCT-bound message.
-				p.arb.route(arbMsg{kind: arbNewDep, dep: pkt}, at)
+				p.arb.route(arbMsg{kind: arbNewDep, dir: d.Dir, body: depStatusPkt{task: handle, depIdx: uint8(i)}, addr: d.Addr}, at)
 				continue
 			}
 			// A single DCT keeps the prototype's direct GW->DCT wiring.
-			p.dct[p.dctOf(d.Addr)].newDepQ.push(pkt, at)
+			p.dct[0].newDepQ.push(newDepPkt{addr: d.Addr, task: handle, depIdx: uint8(i), dir: d.Dir}, at)
 		}
 		p.stats.TasksAdmitted++
 		if inFlight := p.InFlight(); inFlight > p.stats.MaxInFlightTasks {

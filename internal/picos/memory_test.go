@@ -10,27 +10,74 @@ func TestRegFIFOVisibility(t *testing.T) {
 	var q regFIFO[int]
 	key, gate := noEvent, uint64(6)
 	q.wire(&key, &gate)
+	// The cached head stamp must follow the ring's head through every
+	// push, pop and reset.
+	checkHead := func(after string) {
+		t.Helper()
+		want := noEvent
+		if h := q.q.Head(); h != nil {
+			want = h.at
+		}
+		if q.headAt() != want {
+			t.Fatalf("after %s: head stamp %d, ring head %d", after, q.headAt(), want)
+		}
+	}
+	checkHead("wire")
 	q.push(7, 5)
+	checkHead("push")
 	if key != 6 {
 		t.Fatalf("a push into an empty FIFO set the key to %d, want max(stamp 5, gate 6)", key)
 	}
 	if _, ok := q.pop(4); ok {
 		t.Fatal("element visible before its cycle")
 	}
+	checkHead("early pop")
 	if v, ok := q.pop(5); !ok || v != 7 {
 		t.Fatalf("pop(5) = %d,%v", v, ok)
 	}
+	checkHead("pop")
 	// Order preserved even with equal stamps.
 	q.push(1, 10)
 	q.push(2, 10)
+	checkHead("push")
 	if v, _ := q.pop(10); v != 1 {
 		t.Fatal("FIFO order violated")
 	}
+	checkHead("pop")
 	if v, ok := q.peek(10); !ok || v != 2 {
 		t.Fatalf("peek = %d,%v", v, ok)
 	}
 	if q.len() != 1 {
 		t.Fatal("len wrong")
+	}
+	q.reset()
+	checkHead("reset")
+	// A long interleaving that grows and wraps the ring: pops return the
+	// pushes in order, each at its own stamp.
+	var pending []stamped[int]
+	now := uint64(0)
+	for i := 0; i < 2000; i++ {
+		switch {
+		case i%7 < 4:
+			at := now + uint64(i%5)
+			q.push(i, at)
+			pending = append(pending, stamped[int]{at: at, v: i})
+			checkHead("push")
+		case i%300 == 299:
+			q.reset()
+			pending = pending[:0]
+			checkHead("reset")
+		default:
+			v, ok := q.pop(now)
+			if want := len(pending) > 0 && pending[0].at <= now; ok != want || ok && v != pending[0].v {
+				t.Fatalf("pop(%d) = %d,%v; want head %v", now, v, ok, pending)
+			}
+			if ok {
+				pending = pending[1:]
+			}
+			checkHead("pop")
+		}
+		now += uint64(i % 2)
 	}
 }
 
@@ -85,8 +132,8 @@ func TestDepMemoryInsertLookupFree(t *testing.T) {
 		t.Fatalf("reinsert = %+v, %v; want way 3", ref, ok)
 	}
 	e := m.at(ref)
-	if !e.input || e.tag != 0x9000 || e.head != 99 || e.tail != 99 || e.count != 1 {
-		t.Fatalf("entry state %+v", e)
+	if tag := m.tags[int(ref.set)*m.ways+int(ref.way)]; !e.input || tag != 0x9000 || e.head != 99 || e.tail != 99 || e.count != 1 {
+		t.Fatalf("entry state %+v, tag %#x", e, tag)
 	}
 }
 

@@ -37,9 +37,9 @@ type newTaskPkt struct {
 
 // newDepPkt is the GW -> DCT forwarding of one dependence (N4).
 type newDepPkt struct {
+	addr   uint64
 	task   TaskHandle
 	depIdx uint8
-	addr   uint64
 	dir    trace.Direction
 }
 
@@ -48,18 +48,19 @@ type newDepPkt struct {
 // dependent packet for a consumer chained behind another consumer carries
 // the wake pointer — "dependent TRS slot" in the paper — telling the TRS
 // that when this dependence wakes it must also wake wakeTask's
-// dependence on the same VM entry.
+// dependence on the same VM entry. Its fields are ordered so it packs
+// into 16 bytes: it is also the body of every routed message (arbMsg).
 type depStatusPkt struct {
-	task     TaskHandle
-	depIdx   uint8
-	vm       VMAddr
-	ready    bool
-	hasWake  bool
-	wakeTask TaskHandle
+	task    TaskHandle
+	depIdx  uint8
+	ready   bool
+	vm      VMAddr
+	hasWake bool
 	// setWake updates the wake pointer of an already-registered
 	// dependence instead of registering a new one (used by the
 	// WakeFirstFirst ablation, where chains point forward).
-	setWake bool
+	setWake  bool
+	wakeTask TaskHandle
 }
 
 // wakePkt wakes one dependence (identified by its VM entry) of a waiting
@@ -99,14 +100,16 @@ type ReadyTask struct {
 	ID     uint32
 }
 
-// arbMsg is the Arbiter's routed message union.
+// arbMsg is one message routed by the Arbiter, one 32-byte record for
+// every kind so the arbiter heap sifts 48-byte entries. The body is a
+// status packet whole (arbStat), the task and VM entry of a wake
+// (arbWake) or a release (arbFin), or the task and dependence index of
+// a new dependence (arbNewDep), which alone also carries dir and addr.
 type arbMsg struct {
-	// kind selects the payload.
 	kind arbKind
-	wake wakePkt
-	fin  finishDepPkt
-	stat depStatusPkt
-	dep  newDepPkt
+	dir  trace.Direction
+	body depStatusPkt
+	addr uint64
 }
 
 type arbKind uint8

@@ -349,7 +349,7 @@ func (p *Picos) Now() uint64 { return p.now }
 func (p *Picos) Step() {
 	now := p.now
 	for _, d := range p.dct {
-		d.step(now)
+		d.step(now, true)
 		p.hkey[d.hid] = d.nextEvent()
 	}
 	for _, t := range p.trs {
@@ -374,17 +374,18 @@ func (p *Picos) Step() {
 // (DCTs and TRSs step before the GW). Any other retry of a blocked GW,
 // or of a stalled or parked DCT dependence, would re-fail with the
 // answer it gave last — a DCT's answer changes only with its own DM and
-// VM, at its own release events or at a retry a registration owes
-// through parkedRetryAt — so stepDue charges the cycle's stall counters
-// without running the unit, exactly as skipTo does. Every stepped unit
-// is rekeyed right after its step.
+// VM, at its own release events, and a parked dependence retries only
+// when a version recycle or a registration taking the last VM entry
+// owes it one through parkedRetryAt — so stepDue charges the cycle's
+// stall counters without running the retry, exactly as skipTo does.
+// Every stepped unit is rekeyed right after its step.
 //
 //picos:hotpath
 func (p *Picos) stepDue() {
 	now := p.now
 	for _, d := range p.dct {
 		if p.hkey[d.hid] <= now {
-			d.step(now)
+			d.step(now, false)
 			p.hkey[d.hid] = d.nextEvent()
 		} else {
 			d.chargeStall(1)

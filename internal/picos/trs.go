@@ -140,7 +140,7 @@ func (u *trsUnit) handleWake(pkt wakePkt, now uint64) {
 	d.ready = true
 	e.readyDeps++
 	if d.hasWake {
-		u.p.arb.route(arbMsg{kind: arbWake, wake: wakePkt{task: d.wakeTask, vm: pkt.vm}}, done+u.timing.TRSPipe)
+		u.p.arb.route(arbMsg{kind: arbWake, body: depStatusPkt{task: d.wakeTask, vm: pkt.vm}}, done+u.timing.TRSPipe)
 	}
 	u.maybeReady(pkt.task.Slot, e, done)
 }
@@ -167,7 +167,7 @@ func (u *trsUnit) handleFinishedTask(pkt finishedTaskPkt, now uint64) {
 	for i := 0; i < int(e.numDeps); i++ {
 		d := &e.deps[i]
 		at := now + u.timing.TRSFinBase + uint64(i+1)*u.timing.TRSFinPerDep + u.timing.TRSPipe
-		u.p.arb.route(arbMsg{kind: arbFin, fin: finishDepPkt{task: h, vm: d.vm}}, at)
+		u.p.arb.route(arbMsg{kind: arbFin, body: depStatusPkt{task: h, vm: d.vm}}, at)
 	}
 	// The slot is recycled only after the whole walk (N2 can then reuse
 	// it without racing the in-flight finish packets: every VM entry that

@@ -35,10 +35,7 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 		return v, false
 	}
 	v = q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero // avoid retaining references
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.size--
+	q.Drop()
 	return v, true
 }
 
@@ -48,6 +45,28 @@ func (q *FIFO[T]) Peek() (v T, ok bool) {
 		return v, false
 	}
 	return q.buf[q.head], true
+}
+
+// Head returns a pointer to the oldest element, or nil when empty, so a
+// caller can read the head in place and then Drop it instead of copying
+// it out twice through Peek and Pop. The pointer is only valid until
+// the next Push or Drop.
+func (q *FIFO[T]) Head() *T {
+	if q.size == 0 {
+		return nil
+	}
+	return &q.buf[q.head]
+}
+
+// Drop removes the oldest element, if any, without returning it.
+func (q *FIFO[T]) Drop() {
+	if q.size == 0 {
+		return
+	}
+	var zero T
+	q.buf[q.head] = zero // avoid retaining references
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.size--
 }
 
 // Tail returns a pointer to the most recently pushed element, for

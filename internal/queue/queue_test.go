@@ -50,6 +50,34 @@ func TestFIFOPeekReset(t *testing.T) {
 	}
 }
 
+func TestFIFOHeadDrop(t *testing.T) {
+	var q FIFO[int]
+	if q.Head() != nil {
+		t.Fatal("head of an empty FIFO is not nil")
+	}
+	q.Drop() // a no-op on an empty FIFO
+	for i := 0; i < 20; i++ {
+		q.Push(i)
+	}
+	for i := 0; i < 20; i++ {
+		h := q.Head()
+		if h == nil || *h != i {
+			t.Fatalf("head = %v, want %d", h, i)
+		}
+		*h = -1 // the pointer is the stored element
+		if v, _ := q.Peek(); v != -1 {
+			t.Fatalf("peek after writing through head = %d", v)
+		}
+		q.Drop()
+		if q.Len() != 19-i {
+			t.Fatalf("len after %d drops = %d", i+1, q.Len())
+		}
+	}
+	if q.Head() != nil || !q.Empty() {
+		t.Fatal("FIFO not empty after dropping every element")
+	}
+}
+
 func TestFIFOWrapAround(t *testing.T) {
 	var q FIFO[int]
 	// Interleave pushes and pops to force the head to wrap repeatedly.
