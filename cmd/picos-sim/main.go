@@ -42,11 +42,8 @@ func main() {
 		steal    = flag.Bool("steal", false, "per-class ready queues with deterministic work stealing")
 		nTRS     = flag.Int("trs", 0, "TRS instances (default 1)")
 		nDCT     = flag.Int("dct", 0, "DCT instances (default 1)")
-		shash    = flag.String("shardhash", "", "address-to-shard hash with -dct > 1: xor-fold (default), low-bits")
 		shop     = flag.Int("shardhop", 0, "per-shard-crossed fabric latency in cycles (0: default 1, negative: free)")
 		admiss   = flag.String("admission", "", "GW admission policy: credits (default), slots, avoid-deadlock, avoid-deadlock-park")
-		wake     = flag.String("wake", "", "TS wake order on task finish: last-first (default), first-first")
-		conflict = flag.String("conflict", "", "DM conflict handling: sidetrack (default), block")
 		newq     = flag.Int("newq", 0, "bound the accelerator's new-task submission buffer (0: unbounded)")
 		runAhead = flag.Int("runahead", 0, "Full-system creation run-ahead window (0: default 16, negative: unbounded)")
 		window   = flag.Int("window", 0, "stream the workload under this bounded descriptor window (created-but-unretired tasks; 0: materialized whole-trace run)")
@@ -73,11 +70,8 @@ func main() {
 		Design:        *dm,
 		Policy:        *policy,
 		Admission:     *admiss,
-		Wake:          *wake,
-		Conflict:      *conflict,
 		NumTRS:        *nTRS,
 		NumDCT:        *nDCT,
-		ShardHash:     *shash,
 		ShardHop:      *shop,
 		NewQDepth:     *newq,
 		RunAhead:      *runAhead,

@@ -76,6 +76,5 @@ func main() {
 			st.DMConflicts+st.VMStallEvents, st.GWBlockedCycles)
 	}
 	fmt.Println("\nconflict counts use the DCT's sidetrack accounting (one per")
-	fmt.Println("saturated set); rerun with Spec.Conflict = \"block\" to see the")
-	fmt.Println("pre-sidetrack head-of-line model self-throttle to ~94.")
+	fmt.Println("saturated set), which reproduces the prototype's Table II counts.")
 }

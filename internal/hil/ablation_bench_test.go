@@ -1,9 +1,10 @@
 package hil
 
-// Ablation benchmarks for the design choices DESIGN.md calls out. Each
-// reports the achieved speedup as a custom metric, so `go test -bench
-// Ablation` doubles as the design-space exploration harness of
-// Section V-A beyond the three shipping DM designs.
+// Ablation benchmarks for the model's design choices: DM design, TS
+// policy, TRS/DCT instance count and GW admission. Each reports the
+// achieved speedup as a custom metric, so `go test -bench Ablation`
+// doubles as the design-space exploration harness of Section V-A beyond
+// the three shipping DM designs.
 
 import (
 	"testing"
@@ -37,17 +38,6 @@ func BenchmarkAblationDMDesign(b *testing.B) {
 	for _, design := range picos.Designs {
 		b.Run(design.String(), func(b *testing.B) {
 			benchSpeedup(b, apps.Heat, 64, func(c *Config) { c.Picos.Design = design })
-		})
-	}
-}
-
-// BenchmarkAblationWakeOrder compares last-first (paper) vs first-first
-// consumer wake order on Lu, the workload whose corner case the order
-// causes (Figure 9).
-func BenchmarkAblationWakeOrder(b *testing.B) {
-	for _, wake := range []picos.WakeOrder{picos.WakeLastFirst, picos.WakeFirstFirst} {
-		b.Run(wake.String(), func(b *testing.B) {
-			benchSpeedup(b, apps.Lu, 32, func(c *Config) { c.Picos.Wake = wake })
 		})
 	}
 }

@@ -36,33 +36,7 @@ func (e Engine) Run(src trace.Source, spec sim.Spec) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toSimResult(res), nil
-}
-
-// toSimResult maps a platform Result onto the engine-neutral sim one.
-func toSimResult(res *Result) *sim.Result {
-	stats := res.Stats
-	return &sim.Result{
-		Workers:    res.Workers,
-		Makespan:   res.Makespan,
-		Baseline:   res.Baseline,
-		Speedup:    res.Speedup,
-		FirstStart: res.FirstStart,
-		ThrTask:    res.ThrTask,
-		Stats:      &stats,
-		Start:      res.Start,
-		Finish:     res.Finish,
-		Order:      res.Order,
-		Wedged:     res.Wedged,
-		WedgedAt:   res.WedgedAt,
-		TimedOut:   res.TimedOut,
-
-		Faulted:        res.Faulted,
-		LostTasks:      res.LostTasks,
-		RecoveredTasks: res.RecoveredTasks,
-		RefusedTasks:   res.RefusedTasks,
-		RefusedIDs:     res.RefusedIDs,
-	}
+	return &res.Result, nil
 }
 
 // config translates the declarative spec into the platform config.
@@ -92,12 +66,6 @@ func (e Engine) config(spec sim.Spec) (Config, error) {
 	if cfg.Picos.Admission, err = picos.ParseAdmission(spec.Admission); err != nil {
 		return cfg, err
 	}
-	if cfg.Picos.Wake, err = picos.ParseWake(spec.Wake); err != nil {
-		return cfg, err
-	}
-	if cfg.Picos.Conflict, err = picos.ParseConflict(spec.Conflict); err != nil {
-		return cfg, err
-	}
 	cfg.Picos.NewQDepth = spec.NewQDepth
 	if spec.RunAhead != 0 {
 		cfg.RunAhead = spec.RunAhead
@@ -107,9 +75,6 @@ func (e Engine) config(spec sim.Spec) (Config, error) {
 	}
 	if spec.NumDCT > 0 {
 		cfg.Picos.NumDCT = spec.NumDCT
-	}
-	if cfg.Picos.ShardHash, err = picos.ParseShardHash(spec.ShardHash); err != nil {
-		return cfg, err
 	}
 	if spec.ShardHop > 0 {
 		cfg.Picos.Timing.ShardHop = uint64(spec.ShardHop)

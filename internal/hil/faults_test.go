@@ -304,9 +304,9 @@ func TestTRSStallDelays(t *testing.T) {
 	if fast.Makespan <= clean {
 		t.Errorf("stalled TRS ran in %d cycles, not slower than the clean %d", fast.Makespan, clean)
 	}
-	if fast.Makespan != ref.Makespan || fast.Stats != ref.Stats {
+	if fast.Makespan != ref.Makespan || *fast.Stats != *ref.Stats {
 		t.Errorf("loops diverge under the stall: fast %d %+v, ref %d %+v",
-			fast.Makespan, fast.Stats, ref.Makespan, ref.Stats)
+			fast.Makespan, *fast.Stats, ref.Makespan, *ref.Stats)
 	}
 	if !fast.Faulted {
 		t.Error("the stall fired; Faulted must be set")
@@ -340,9 +340,9 @@ func TestArbStallDelays(t *testing.T) {
 	if fast.Makespan <= clean {
 		t.Errorf("stalled arbiter ran in %d cycles, not slower than the clean %d", fast.Makespan, clean)
 	}
-	if fast.Makespan != ref.Makespan || fast.Stats != ref.Stats {
+	if fast.Makespan != ref.Makespan || *fast.Stats != *ref.Stats {
 		t.Errorf("loops diverge under the arb stall: fast %d %+v, ref %d %+v",
-			fast.Makespan, fast.Stats, ref.Makespan, ref.Stats)
+			fast.Makespan, *fast.Stats, ref.Makespan, *ref.Stats)
 	}
 	if !fast.Faulted {
 		t.Error("the arb stall fired; Faulted must be set")
@@ -378,9 +378,9 @@ func TestGWStallDelays(t *testing.T) {
 	if fast.Makespan <= clean {
 		t.Errorf("stalled gateway ran in %d cycles, not slower than the clean %d", fast.Makespan, clean)
 	}
-	if fast.Makespan != ref.Makespan || fast.Stats != ref.Stats {
+	if fast.Makespan != ref.Makespan || *fast.Stats != *ref.Stats {
 		t.Errorf("loops diverge under the gw stall: fast %d %+v, ref %d %+v",
-			fast.Makespan, fast.Stats, ref.Makespan, ref.Stats)
+			fast.Makespan, *fast.Stats, ref.Makespan, *ref.Stats)
 	}
 	if !fast.Faulted {
 		t.Error("the gw stall fired; Faulted must be set")

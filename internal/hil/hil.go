@@ -14,6 +14,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/picos"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -180,62 +181,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Result is the outcome of one platform run.
+// Result is the outcome of one platform run: the engine-neutral
+// sim.Result plus what only the platform reports, its mode and the
+// per-unit busy cycles. The runner points the embedded Stats at the
+// run's own copy of the accelerator counters.
 type Result struct {
-	Mode     Mode
-	Workers  int
-	Makespan uint64 // cycle the last task finished executing
-	Baseline uint64 // sequential reference (trace.Baseline)
-	Speedup  float64
+	sim.Result
+	Mode Mode
+	Busy picos.BusyCycles
 
-	Start  []uint64 // per task, cycle execution started
-	Finish []uint64 // per task, cycle execution finished
-	Order  []uint32 // task IDs in start order
-
-	Stats picos.Stats
-	Busy  picos.BusyCycles
-
-	// Latency/throughput probes for Table IV.
-	FirstStart uint64  // L1st
-	ThrTask    float64 // cycles per additional task
-
-	// Wedged reports a proven model deadlock: tasks remain but no future
-	// event exists anywhere in the platform or the accelerator (e.g. an
-	// admitted task whose dependences can never all be stored in a full
-	// direct-hash DM set). The schedule arrays cover the tasks that did
-	// complete; Speedup is zeroed. WedgedAt is the cycle the deadlock
-	// was proven.
-	Wedged   bool
-	WedgedAt uint64
-
-	// TimedOut reports a watchdog expiry: no task started, finished,
-	// landed or was refused for Config.Watchdog cycles while a future
-	// event still existed (otherwise the wedge proof would have fired) —
-	// a livelock or pathological stall, distinct from the proven
-	// deadlock Wedged reports. Speedup is zeroed.
-	TimedOut bool
-
-	// Fault-injection outcome, all zero on fault-free runs.
-	// Faulted reports that at least one configured fault actually fired;
-	// a Wedged result with Faulted set is fault-induced, not a model
-	// deadlock.
-	Faulted bool
-	// LostTasks counts tasks permanently lost to faults: new/ready
-	// messages dropped past the retransmission budget and in-flight
-	// tasks of fail-stopped workers without the regrant policy.
-	LostTasks int
-	// RecoveredTasks counts recovery successes: dropped messages whose
-	// retransmission landed and fail-stopped tasks re-granted through
-	// the scheduling layer.
-	RecoveredTasks int
-	// RefusedTasks counts tasks refused at admission: structurally
-	// unadmittable dependence sets under the avoid-deadlock policies
-	// plus blocked heads popped by degrade recovery.
-	RefusedTasks int
-	// RefusedIDs lists the refused task IDs under avoid-deadlock-park
-	// (the parking policy keeps the descriptors for the host to act on;
-	// plain avoid-deadlock drops refusals after counting them).
-	RefusedIDs []uint32
+	stats picos.Stats
 }
 
 // runners keeps warm runners across runs: sweeps over thousands of grid

@@ -143,7 +143,7 @@ func TestUnboundedQueueKeepsLegacyBehavior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Makespan != b.Makespan || a.Stats != b.Stats {
+	if a.Makespan != b.Makespan || *a.Stats != *b.Stats {
 		t.Fatalf("run-ahead window changed an unbounded-queue run: makespan %d vs %d", a.Makespan, b.Makespan)
 	}
 	_ = picos.ErrNewQFull // the knob this suite exists for

@@ -8,6 +8,7 @@ import (
 	"repro/internal/picos"
 	"repro/internal/queue"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/table"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
@@ -1169,20 +1170,23 @@ func (r *runner) quiescentUntil(now uint64) (uint64, bool) {
 // the same values, without the O(tasks) state.
 func (r *runner) result() *Result {
 	res := &Result{
-		Mode:    r.cfg.Mode,
-		Workers: r.cfg.Workers,
-		Start:   r.start,
-		Finish:  r.finish,
-		Order:   r.order,
-		Stats:   *r.p.Stats(),
-		Busy:    r.p.Busy(),
-		// Fault and refusal accounting; all stay zero on a fault-free run
-		// under the default admission policy.
-		LostTasks:      r.lost,
-		RecoveredTasks: r.recovered,
-		RefusedTasks:   r.refused,
-		RefusedIDs:     r.refusedIDs,
+		Result: sim.Result{
+			Workers: r.cfg.Workers,
+			Start:   r.start,
+			Finish:  r.finish,
+			Order:   r.order,
+			// Fault and refusal accounting; all stay zero on a fault-free
+			// run under the default admission policy.
+			LostTasks:      r.lost,
+			RecoveredTasks: r.recovered,
+			RefusedTasks:   r.refused,
+			RefusedIDs:     r.refusedIDs,
+		},
+		Mode:  r.cfg.Mode,
+		Busy:  r.p.Busy(),
+		stats: *r.p.Stats(),
 	}
+	res.Stats = &res.stats
 	if r.start != nil {
 		res.Baseline = r.mat.Baseline()
 		for _, f := range r.finish {

@@ -34,7 +34,7 @@ func gridSource(t *testing.T, query string) trace.Source {
 func aggEqual(a, b *Result) bool {
 	return a.Makespan == b.Makespan && a.Baseline == b.Baseline &&
 		a.FirstStart == b.FirstStart && a.ThrTask == b.ThrTask &&
-		a.Stats == b.Stats && a.Wedged == b.Wedged && a.TimedOut == b.TimedOut
+		*a.Stats == *b.Stats && a.Wedged == b.Wedged && a.TimedOut == b.TimedOut
 }
 
 // TestStreamWideWindowMatchesRun: a window at least as wide as the whole

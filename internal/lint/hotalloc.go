@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -87,9 +88,16 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 			for _, lhs := range node.Lhs {
 				checkMapWrite(pass, info, name, lhs)
 			}
-			for i, rhs := range node.Rhs {
-				if i < len(node.Lhs) {
-					checkBoxing(pass, info, name, info.TypeOf(node.Lhs[i]), rhs)
+			if tuple, ok := info.TypeOf(node.Rhs[0]).(*types.Tuple); ok {
+				// v, ok = f(): each target takes its own result.
+				for i, lhs := range node.Lhs {
+					checkBoxing(pass, name, info.TypeOf(lhs), tuple.At(i).Type(), node.Rhs[0].Pos())
+				}
+			} else {
+				for i, rhs := range node.Rhs {
+					if i < len(node.Lhs) {
+						checkBoxing(pass, name, info.TypeOf(node.Lhs[i]), info.TypeOf(rhs), rhs.Pos())
+					}
 				}
 			}
 		case *ast.IncDecStmt:
@@ -145,22 +153,23 @@ func checkHotCall(pass *Pass, info *types.Info, name string, call *ast.CallExpr)
 		} else if i < params.Len() {
 			pt = params.At(i).Type()
 		}
-		checkBoxing(pass, info, name, pt, arg)
+		checkBoxing(pass, name, pt, info.TypeOf(arg), arg.Pos())
 	}
 }
 
-// checkBoxing reports a concrete (non-pointer-shaped) value converted to
-// an interface type — the conversion heap-allocates the boxed copy.
-func checkBoxing(pass *Pass, info *types.Info, name string, target types.Type, val ast.Expr) {
-	if target == nil {
+// checkBoxing reports a concrete (non-pointer-shaped) value of type vt
+// converted to an interface type target — the conversion heap-allocates
+// the boxed copy. A type-parameter target is not an interface, even
+// though its underlying type is its constraint: a value stored there
+// keeps its own type.
+func checkBoxing(pass *Pass, name string, target, vt types.Type, pos token.Pos) {
+	if target == nil || vt == nil {
 		return
 	}
-	iface, ok := target.Underlying().(*types.Interface)
-	if !ok {
+	if _, isTypeParam := target.(*types.TypeParam); isTypeParam {
 		return
 	}
-	vt := info.TypeOf(val)
-	if vt == nil {
+	if _, ok := target.Underlying().(*types.Interface); !ok {
 		return
 	}
 	if _, alreadyIface := vt.Underlying().(*types.Interface); alreadyIface {
@@ -174,8 +183,7 @@ func checkBoxing(pass *Pass, info *types.Info, name string, target types.Type, v
 	if _, isPtr := vt.Underlying().(*types.Pointer); isPtr {
 		return
 	}
-	_ = iface
-	pass.Reportf(val.Pos(), "%s is //picos:hotpath but boxes a %s into an interface (heap-allocates the copy)", name, vt.String())
+	pass.Reportf(pos, "%s is //picos:hotpath but boxes a %s into an interface (heap-allocates the copy)", name, vt.String())
 }
 
 func isUntypedNil(t types.Type) bool {

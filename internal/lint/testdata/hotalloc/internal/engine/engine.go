@@ -30,6 +30,7 @@ func (m *machine) badStep(now uint64) {
 	f := func() uint64 { return now } // want `declares a func literal`
 	_ = f
 	m.sink = now               // want `boxes a uint64 into an interface`
+	_, m.sink = pair(now)      // want `boxes a uint64 into an interface`
 	m.index[now] = 1           // want `writes through a map index`
 	m.index[now] += 2          // want `writes through a map index`
 	m.index[now]++             // want `writes through a map index`
@@ -48,6 +49,33 @@ func (m *machine) goodStep(now uint64) {
 	m.scratch = event{}
 	// Reading a map never grows it.
 	m.scratch.id = m.index[now]
+}
+
+// pair returns two results, the second of which the caller may box.
+func pair(now uint64) (event, uint64) { return event{at: now}, now }
+
+// fifo is a generic channel shaped like the model's registered FIFOs.
+type fifo[T any] struct {
+	head T
+	full bool
+}
+
+func (f *fifo[T]) peek(now uint64) (v T, ok bool) {
+	if !f.full || now == 0 {
+		return v, false
+	}
+	return f.head, true
+}
+
+// pop stores a peeked T into a T: a type parameter's underlying type is
+// its constraint interface, but nothing is boxed.
+//
+//picos:hotpath
+func (f *fifo[T]) pop(now uint64) (v T, ok bool) {
+	if v, ok = f.peek(now); ok {
+		f.full = false
+	}
+	return v, ok
 }
 
 // coldStep is unannotated: the same constructs are fine off the hot

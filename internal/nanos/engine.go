@@ -18,7 +18,7 @@ func (Engine) Name() string { return "nanos" }
 // and its event-driven model has no per-cycle loop for FastForward to
 // select.
 //
-//picos:ignores-knobs Admission,Conflict,FastForward,Faults,NewQDepth,NumDCT,NumTRS,Recovery,RunAhead,ShardHash,ShardHop,Wake accelerator-only knobs; the software runtime has no GW/DM/TS hardware, is inherently event-driven, and serves as the fault-free control arm of the resilience sweeps
+//picos:ignores-knobs Admission,FastForward,Faults,NewQDepth,NumDCT,NumTRS,Recovery,RunAhead,ShardHop accelerator-only knobs; the software runtime has no GW/DM/TS hardware, is inherently event-driven, and serves as the fault-free control arm of the resilience sweeps
 func (Engine) Run(src trace.Source, spec sim.Spec) (*sim.Result, error) {
 	cfg, err := config(spec)
 	if err != nil {

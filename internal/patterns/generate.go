@@ -70,7 +70,7 @@ func Generate(p Params, retain int) (trace.Source, error) {
 		next := uint64(patternBase)
 		for s := 0; s < nbuf; s++ {
 			target := (s / p.Fields) * p.Shards / src.points
-			for picos.Shard(picos.ShardXorFold, next, p.Shards) != target {
+			for picos.Shard(next, p.Shards) != target {
 				next += stride
 			}
 			addrs[s] = next
@@ -131,7 +131,7 @@ func (s *gridSource) freshShardAddr(slot int) uint64 {
 	var addr uint64
 	for ; s.slot <= slot; s.slot++ {
 		target := (s.slot % s.points) * s.p.Shards / s.points
-		for picos.Shard(picos.ShardXorFold, s.nextAddr, s.p.Shards) != target {
+		for picos.Shard(s.nextAddr, s.p.Shards) != target {
 			s.nextAddr += s.stride
 		}
 		addr = s.nextAddr

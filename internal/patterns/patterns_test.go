@@ -412,7 +412,7 @@ func TestRegionsMultiAddress(t *testing.T) {
 // on one shard and a local family only crosses at block boundaries.
 func TestShardLayoutAlignsDeps(t *testing.T) {
 	const shards = 4
-	shardOf := func(a uint64) int { return picos.Shard(picos.ShardXorFold, a, shards) }
+	shardOf := func(a uint64) int { return picos.Shard(a, shards) }
 
 	// no_comm chains never leave their point, so every task is strictly
 	// single-shard, and the per-point shard is the contiguous-block map.

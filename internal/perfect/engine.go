@@ -25,7 +25,7 @@ func (Engine) Name() string { return "perfect" }
 // there is no hardware to configure, no cycle loop for FastForward to
 // select and no runaway simulation for Watchdog to bound.
 //
-//picos:ignores-knobs Admission,Conflict,FastForward,Faults,NewQDepth,NumDCT,NumTRS,Recovery,RunAhead,Sched,ShardHash,ShardHop,Steal,Wake,Watchdog zero-overhead roofline; the greedy best-class grant subsumes every grant policy and steal order, there is no accelerator hardware or cycle loop to fast-forward or bound, and no fault layer — the roofline is the fault-free ideal by definition
+//picos:ignores-knobs Admission,FastForward,Faults,NewQDepth,NumDCT,NumTRS,Recovery,RunAhead,Sched,ShardHop,Steal,Watchdog zero-overhead roofline; the greedy best-class grant subsumes every grant policy and steal order, there is no accelerator hardware or cycle loop to fast-forward or bound, and no fault layer — the roofline is the fault-free ideal by definition
 func (Engine) Run(src trace.Source, spec sim.Spec) (*sim.Result, error) {
 	tr, err := trace.Materialize(src)
 	if err != nil {

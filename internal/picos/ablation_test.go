@@ -1,52 +1,10 @@
 package picos
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/trace"
 )
-
-// TestWakeFirstFirstOrder mirrors TestFigure5ChainSemantics under the
-// ablation wake order: consumers must execute in registration order.
-func TestWakeFirstFirstOrder(t *testing.T) {
-	a := uint64(0x7000)
-	tr := simpleTrace([][]trace.Dep{
-		{{Addr: a, Dir: trace.Out}},
-		{{Addr: a, Dir: trace.In}},
-		{{Addr: a, Dir: trace.In}},
-		{{Addr: a, Dir: trace.In}},
-		{{Addr: a, Dir: trace.InOut}},
-		{{Addr: a, Dir: trace.InOut}},
-	}, 1)
-	tr.Tasks[0].Duration = 10_000
-
-	cfg := DefaultConfig()
-	cfg.Wake = WakeFirstFirst
-	r := runTrace(t, tr, cfg, 1)
-	r.verify(t, tr)
-	want := []uint32{0, 1, 2, 3, 4, 5}
-	for i, id := range want {
-		if r.order[i] != id {
-			t.Fatalf("execution order %v, want %v (wake-from-first-consumer)", r.order, want)
-		}
-	}
-}
-
-// TestWakeOrderBothLegal runs random traces under both wake orders and
-// checks legality plus identical task sets.
-func TestWakeOrderBothLegal(t *testing.T) {
-	for _, seed := range []int64{3, 9} {
-		rng := rand.New(rand.NewSource(seed))
-		tr := randomDepTrace(rng, 200, 10)
-		for _, wake := range []WakeOrder{WakeLastFirst, WakeFirstFirst} {
-			cfg := DefaultConfig()
-			cfg.Wake = wake
-			r := runTrace(t, tr, cfg, 6)
-			r.verify(t, tr)
-		}
-	}
-}
 
 // TestAdmitSlotsOnlyLegal: the prototype-style admission must stay legal
 // and drain even under VM pressure (head-of-line stalls, no deadlock).
@@ -72,11 +30,9 @@ func TestAdmitSlotsOnlyLegal(t *testing.T) {
 	}
 }
 
-// TestWakeOrderString covers the names.
-func TestWakeOrderString(t *testing.T) {
-	if WakeLastFirst.String() != "last-first" || WakeFirstFirst.String() != "first-first" {
-		t.Fatal("wake order names changed")
-	}
+// TestPolicyAndDesignNames covers the names of the TS policies and DM
+// designs.
+func TestPolicyAndDesignNames(t *testing.T) {
 	if SchedFIFO.String() != "FIFO" || SchedLIFO.String() != "LIFO" {
 		t.Fatal("sched policy names changed")
 	}

@@ -16,27 +16,29 @@ type dctUnit struct {
 
 	// Head-of-line stall state for newDepQ: a dependence that cannot be
 	// stored blocks the queue — and with it, registration of every later
-	// dependence routed here — until a release frees space. Under the
-	// default ConflictSidetrack policy only VM exhaustion and second-set
-	// conflicts stall the head this way; a first DM-set conflict parks in
-	// the sidetrack register below instead. stall records which per-cycle
-	// counter the retries feed, so a fast-forwarded stretch can
-	// batch-account exactly what the cycle-by-cycle retries would have.
+	// dependence routed here — until a release frees space. Only VM
+	// exhaustion and second-set conflicts stall the head this way; a
+	// first DM-set conflict parks in the sidetrack register below
+	// instead. stall records which per-cycle counter the retries feed, so
+	// a fast-forwarded stretch can batch-account exactly what the
+	// cycle-by-cycle retries would have.
 	headStalled     bool
 	conflictCounted bool
 	stall           stallKind
 
-	// Conflict sidetrack register (ConflictSidetrack): one dependence
-	// whose DM set was full, parked out of the queue so registration of
-	// later dependences keeps flowing. The parked dependence retries
-	// every cycle the registration engine is free, with strict priority
-	// over the queue, which preserves program order per address (a later
-	// dependence on the same address maps to the same — still full — set
-	// and can never overtake) and keeps the set closed to younger
-	// insertions, so the head-of-line deadlock-freedom argument carries
-	// over unchanged. parkedStall records why the last retry failed (the
-	// set may drain into a VM shortage), for the same batch-accounting
-	// as the head stall.
+	// Conflict sidetrack register, the DCT's conflict handling: one
+	// dependence whose DM set was full, parked out of the queue so
+	// registration of later dependences keeps flowing — and keeps
+	// colliding while the set is saturated, which is what the
+	// prototype's Table II conflict counters measure. The parked
+	// dependence retries every cycle the registration engine is free,
+	// with strict priority over the queue, which preserves program order
+	// per address (a later dependence on the same address maps to the
+	// same — still full — set and can never overtake) and keeps the set
+	// closed to younger insertions, so the head-of-line deadlock-freedom
+	// argument carries over unchanged. parkedStall records why the last
+	// retry failed (the set may drain into a VM shortage), for the same
+	// batch-accounting as the head stall.
 	hasParked   bool
 	parked      newDepPkt
 	parkedSet   int
@@ -106,9 +108,6 @@ func (u *dctUnit) reset(design DMDesign) {
 	u.busyUntil, u.busyUntilFin, u.busy = 0, 0, 0
 }
 
-// sidetracked reports whether the conflict sidetrack is enabled.
-func (u *dctUnit) sidetracked() bool { return u.p.cfg.Conflict == ConflictSidetrack }
-
 // step runs the DCT for cycle now. reference is set by the
 // cycle-stepped Step, whose parked dependence retries at every cycle the
 // registration engine is free; stepDue passes false, and the parked
@@ -170,7 +169,7 @@ func (u *dctUnit) step(now uint64, reference bool) {
 			}
 			continue
 		}
-		if kind == stallDMSet && u.sidetracked() && !u.hasParked {
+		if kind == stallDMSet && !u.hasParked {
 			// Park the conflict and keep registering: the dependence
 			// found its set full — one DM conflict, counted unless this
 			// head was already counted while waiting on a different set —
@@ -209,7 +208,7 @@ func (u *dctUnit) step(now uint64, reference bool) {
 			// its own; the same set is the episode the sidetrack already
 			// counted (the head inherits it when the slot frees, without
 			// recounting).
-			if !u.conflictCounted && (!u.sidetracked() || u.dm.index(pkt.addr) != u.parkedSet) {
+			if !u.conflictCounted && u.dm.index(pkt.addr) != u.parkedSet {
 				u.p.stats.DMConflicts++
 				u.conflictCounted = true
 			}
@@ -302,19 +301,6 @@ func (u *dctUnit) tryNewDep(pkt newDepPkt, now uint64) stallKind {
 			if tail.producerDone {
 				// The value already exists (or the chain is input-only).
 				status.ready = true
-			} else if u.p.cfg.Wake == WakeFirstFirst {
-				// Ablation: chains point forward; the previous tail gets
-				// a wake pointer to the new consumer.
-				if tail.chainLen == 0 {
-					tail.chainHead = pkt.task
-				} else {
-					u.sendStatus(depStatusPkt{
-						task: tail.chainTail, vm: VMAddr{DCT: u.id, Idx: tailIdx},
-						setWake: true, hasWake: true, wakeTask: pkt.task,
-					}, now+u.timing.DCTPipe)
-				}
-				tail.chainTail = pkt.task
-				tail.chainLen++
 			} else {
 				// Chain behind the previous last consumer: the paper's
 				// dependent packet carries the wake pointer, and the new
@@ -394,16 +380,11 @@ func (u *dctUnit) handleFinish(pkt finishDepPkt, now uint64) {
 	if v.hasProducer && !v.producerDone && v.producer == pkt.task {
 		v.producerDone = true
 		if v.chainLen > 0 {
-			// Wake the chain: from the last consumer under the paper's
-			// design (Figure 5, link 1), from the first under the
-			// ablation order. The wake leaves as soon as the VM read
-			// resolves the target; the recycle write-back below proceeds
-			// on the engine timer (busyUntilFin) concurrently.
-			entry := v.chainTail
-			if u.p.cfg.Wake == WakeFirstFirst {
-				entry = v.chainHead
-			}
-			u.sendWake(wakePkt{task: entry, vm: pkt.vm}, max(now+u.timing.DCTPipe, v.statusAt))
+			// Wake the chain from its last consumer (Figure 5, link 1).
+			// The wake leaves as soon as the VM read resolves the target;
+			// the recycle write-back below proceeds on the engine timer
+			// (busyUntilFin) concurrently.
+			u.sendWake(wakePkt{task: v.chainTail, vm: pkt.vm}, max(now+u.timing.DCTPipe, v.statusAt))
 			u.p.stats.WakesRouted++
 		}
 	} else {

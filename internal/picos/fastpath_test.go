@@ -167,8 +167,11 @@ func driveTo(t *testing.T, p *Picos, tasks []trace.Task, hold, horizon uint64, f
 // packet become routable in the cycle it is sent, so a unit must step
 // in the same cycle another unit fed it.
 func TestRunToMatchesStep(t *testing.T) {
+	// Two dependences per task on the direct-hash DM: 248 tasks spend a
+	// DCT's 496 credits before the 256 TM slots run out, and their
+	// consecutive word addresses never put more than 8 in one set.
 	credits := DefaultConfig()
-	credits.VMReserve = 400 // 112 credits: admission runs out of credits before TM slots
+	credits.Design = DM8Way
 	slots8way := DefaultConfig()
 	slots8way.Design = DM8Way
 	slots8way.Admission = AdmitSlotsOnly
@@ -187,7 +190,7 @@ func TestRunToMatchesStep(t *testing.T) {
 	}{
 		{"mixed", Config{}, fastpathTasks(), 0, []uint64{1, 7, 64, 300, 1000, 5000}, nil},
 		{"gw-slots", slots, holdTasks(600, 0), 20_000, []uint64{30_000, 100_000}, gwBlocked},
-		{"gw-credits", credits, holdTasks(600, 1), 20_000, []uint64{30_000, 150_000}, gwBlocked},
+		{"gw-credits", credits, holdTasks(600, 2), 20_000, []uint64{30_000, 150_000}, gwBlocked},
 		{"dct-last-vm", slots8way, lastVMTasks(), 0, []uint64{2_000, 10_000}, vmStalled},
 		{"dct-parked-recycle", slots8way, parkedRecycleTasks(), 1000, []uint64{500, 1200, 1800, 1900, 5000}, dmStalled},
 		{"zero-pipes", zeroPipeConfig(), keysTasks(300), 400, []uint64{64, 1000, 10_000, 60_000}, nil},

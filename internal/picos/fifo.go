@@ -49,6 +49,8 @@ func (f *regFIFO[T]) push(v T, at uint64) {
 }
 
 // pop removes and returns the head if it is visible at cycle now.
+//
+//picos:hotpath
 func (f *regFIFO[T]) pop(now uint64) (v T, ok bool) {
 	if v, ok = f.peek(now); ok {
 		f.drop()

@@ -65,7 +65,7 @@ func (g *gateway) initCredits() {
 	// Each shard grants credits against its own partition of the VM:
 	// a sharded fabric divides the design's capacity, it does not
 	// multiply it, so per-shard room is shardCapacity - reserve.
-	perShard := shardCapacity(g.p.cfg.Design, g.p.cfg.NumDCT) - g.p.cfg.VMReserve
+	perShard := shardCapacity(g.p.cfg.Design, g.p.cfg.NumDCT) - vmReserve
 	for i := range g.vmCredits {
 		g.vmCredits[i] = perShard
 		g.need[i] = 0

@@ -133,9 +133,8 @@ func TestHorizonKeysExact(t *testing.T) {
 	slots := DefaultConfig()
 	slots.Design = DM8Way
 	slots.Admission = AdmitSlotsOnly
-	block := DefaultConfig()
-	block.Design = DM8Way
-	block.Conflict = ConflictBlock
+	eightWay := DefaultConfig()
+	eightWay.Design = DM8Way
 	sharded := DefaultConfig()
 	sharded.NumDCT, sharded.NumTRS = 4, 2
 	// lastVMTasks first: a DM-set conflict parked while a registration
@@ -162,7 +161,7 @@ func TestHorizonKeysExact(t *testing.T) {
 		{"default", DefaultConfig(), false, keysTasks(600), 3000, gwBlocked},
 		{"slots-8way", slots, false, slotsTasks, 10_000,
 			func(s *Stats, _ *faults.PicosFaults) bool { return s.VMStallCycles > 0 && s.DMConflictStallCycles > 0 }},
-		{"block", block, false, keysTasks(400), 5000,
+		{"8way", eightWay, false, keysTasks(400), 5000,
 			func(s *Stats, _ *faults.PicosFaults) bool { return s.DMConflictStallCycles > 0 }},
 		{"sharded", sharded, false, keysTasks(600), 3000, gwBlocked},
 		{"zero-pipes", zeroPipeConfig(), false, keysTasks(400), 500,

@@ -51,15 +51,11 @@ type newDepPkt struct {
 // dependence on the same VM entry. Its fields are ordered so it packs
 // into 16 bytes: it is also the body of every routed message (arbMsg).
 type depStatusPkt struct {
-	task    TaskHandle
-	depIdx  uint8
-	ready   bool
-	vm      VMAddr
-	hasWake bool
-	// setWake updates the wake pointer of an already-registered
-	// dependence instead of registering a new one (used by the
-	// WakeFirstFirst ablation, where chains point forward).
-	setWake  bool
+	task     TaskHandle
+	depIdx   uint8
+	ready    bool
+	vm       VMAddr
+	hasWake  bool
 	wakeTask TaskHandle
 }
 

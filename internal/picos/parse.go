@@ -49,42 +49,3 @@ func ParseAdmission(s string) (AdmissionPolicy, error) {
 		return 0, fmt.Errorf("picos: unknown admission policy %q (want credits, slots, avoid-deadlock or avoid-deadlock-park)", s)
 	}
 }
-
-// ParseWake resolves a consumer-chain wake order; empty means the
-// prototype's last-first behaviour.
-func ParseWake(s string) (WakeOrder, error) {
-	switch strings.ToLower(s) {
-	case "", "last-first":
-		return WakeLastFirst, nil
-	case "first-first":
-		return WakeFirstFirst, nil
-	default:
-		return 0, fmt.Errorf("picos: unknown wake order %q (want last-first or first-first)", s)
-	}
-}
-
-// ParseShardHash resolves an address-to-shard hash; empty means the
-// xor-fold default.
-func ParseShardHash(s string) (ShardHash, error) {
-	switch strings.ToLower(s) {
-	case "", "xor-fold":
-		return ShardXorFold, nil
-	case "low-bits":
-		return ShardLowBits, nil
-	default:
-		return 0, fmt.Errorf("picos: unknown shard hash %q (want xor-fold or low-bits)", s)
-	}
-}
-
-// ParseConflict resolves a DCT conflict-handling policy; empty means the
-// sidetrack default.
-func ParseConflict(s string) (ConflictPolicy, error) {
-	switch strings.ToLower(s) {
-	case "", "sidetrack":
-		return ConflictSidetrack, nil
-	case "block":
-		return ConflictBlock, nil
-	default:
-		return 0, fmt.Errorf("picos: unknown conflict policy %q (want sidetrack or block)", s)
-	}
-}

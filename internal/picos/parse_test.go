@@ -46,15 +46,3 @@ func TestParseAdmission(t *testing.T) {
 		t.Fatal("bogus admission accepted")
 	}
 }
-
-func TestParseWake(t *testing.T) {
-	if w, err := ParseWake(""); err != nil || w != WakeLastFirst {
-		t.Fatalf("empty wake = %v, %v", w, err)
-	}
-	if w, err := ParseWake("first-first"); err != nil || w != WakeFirstFirst {
-		t.Fatalf("first-first = %v, %v", w, err)
-	}
-	if _, err := ParseWake("middle-out"); err == nil {
-		t.Fatal("bogus wake order accepted")
-	}
-}

@@ -18,20 +18,8 @@ type Config struct {
 	NumDCT int
 	Policy SchedPolicy
 	Timing Timing
-	// VMReserve is the per-DCT VM headroom the GW requires before
-	// admitting a task under AdmitCredits. Defaults to MaxDeps+1.
-	VMReserve int
 	// Admission selects the GW admission policy.
 	Admission AdmissionPolicy
-	// Wake selects the consumer-chain wake order (ablation for the Lu
-	// corner case of Section V-A).
-	Wake WakeOrder
-	// Conflict selects how the DCT handles a DM set conflict: the
-	// default ConflictSidetrack parks the conflicting dependence in a
-	// one-entry retry register so registration keeps flowing (matching
-	// the prototype's Table II conflict counts); ConflictBlock is the
-	// earlier strict head-of-line stall, kept as an ablation.
-	Conflict ConflictPolicy
 	// NewQDepth bounds the GW new-task queue, modeling the finite
 	// memory-mapped submission buffer: Submit returns ErrNewQFull when
 	// the queue holds this many tasks, and the submitter must retry —
@@ -39,9 +27,6 @@ type Config struct {
 	// default) keeps the queue unbounded, which is how the paper's HIL
 	// platform preloads whole traces.
 	NewQDepth int
-	// ShardHash selects how addresses are partitioned across DCT shards
-	// when NumDCT > 1 (single-DCT builds never consult it).
-	ShardHash ShardHash
 	// Faults is the accelerator-side fault injector built from the
 	// run's fault plan (faults.Plan.PicosSide), or nil for the normal
 	// fault-free build. Every injection site is nil-gated, so a nil
@@ -50,86 +35,10 @@ type Config struct {
 	Faults *faults.PicosFaults
 }
 
-// ShardHash selects the address-to-shard partition function of a
-// sharded (NumDCT > 1) dependence-management fabric. The same address
-// must always map to the same shard so its whole version chain lives
-// together; what the hash controls is how evenly unrelated addresses
-// spread — and therefore how evenly the partitioned DM/VM capacity and
-// the per-shard registration engines are loaded.
-type ShardHash uint8
-
-const (
-	// ShardXorFold (default) is a 64-bit xor-fold multiply mix: block
-	// addresses from any allocator layout spread near-uniformly, so
-	// per-shard capacity is used evenly.
-	ShardXorFold ShardHash = iota
-	// ShardLowBits takes the low word-address bits — the cheapest
-	// possible hardware, kept as an ablation. Strided allocations
-	// cluster onto few shards, concentrating load and capacity pressure
-	// the way the low-bit DM index of Section V-A clusters sets.
-	ShardLowBits
-)
-
-// String names the shard hash.
-func (s ShardHash) String() string {
-	if s == ShardLowBits {
-		return "low-bits"
-	}
-	return "xor-fold"
-}
-
-// ConflictPolicy selects how the DCT handles a full DM set.
-type ConflictPolicy uint8
-
-const (
-	// ConflictSidetrack (default) parks the conflicting dependence in a
-	// single retry register with priority over the queue, so later
-	// dependences keep registering while the saturated set drains. Each
-	// dependence still registers only after every older dependence on
-	// its address (same address means same set, and the parked entry has
-	// strict priority on freed ways), so schedules stay race-free; what
-	// changes is that arrivals keep flowing — and keep colliding — while
-	// a set is saturated, which is what the prototype's Table II
-	// conflict counters measure.
-	ConflictSidetrack ConflictPolicy = iota
-	// ConflictBlock stalls the whole registration path head-of-line on
-	// the first unstorable dependence, the pre-sidetrack model: strictly
-	// in-order, but it self-throttles arrivals during saturation and
-	// under-counts conflicts relative to the prototype.
-	ConflictBlock
-)
-
-// String names the conflict policy.
-func (c ConflictPolicy) String() string {
-	if c == ConflictBlock {
-		return "block"
-	}
-	return "sidetrack"
-}
-
-// WakeOrder selects how a producer-consumer chain is woken when the
-// producer finishes.
-type WakeOrder uint8
-
-const (
-	// WakeLastFirst is the prototype's behaviour (Figure 5): the DCT
-	// keeps only the newest consumer; older consumers chain through TMX
-	// wake pointers and wake last-to-first. Cheap in VM state, but it
-	// can postpone critical-path consumers (the Lu corner case).
-	WakeLastFirst WakeOrder = iota
-	// WakeFirstFirst wakes consumers in registration order: the DCT
-	// keeps the chain head in the VM and each consumer's TMX entry
-	// points forward to the next. Same hardware cost, opposite bias.
-	WakeFirstFirst
-)
-
-// String names the wake order.
-func (w WakeOrder) String() string {
-	if w == WakeFirstFirst {
-		return "first-first"
-	}
-	return "last-first"
-}
+// vmReserve is the per-DCT VM headroom the GW requires before admitting
+// a task under AdmitCredits: a full task's worth of dependences, plus
+// one.
+const vmReserve = trace.MaxDeps + 1
 
 // AdmissionPolicy selects how the Gateway throttles new tasks.
 type AdmissionPolicy uint8
@@ -170,12 +79,11 @@ func (a AdmissionPolicy) AvoidsDeadlock() bool {
 // with the Pearson 8-way DM, FIFO scheduling, calibrated timing.
 func DefaultConfig() Config {
 	return Config{
-		Design:    DMP8Way,
-		NumTRS:    1,
-		NumDCT:    1,
-		Policy:    SchedFIFO,
-		Timing:    DefaultTiming(),
-		VMReserve: trace.MaxDeps + 1,
+		Design: DMP8Way,
+		NumTRS: 1,
+		NumDCT: 1,
+		Policy: SchedFIFO,
+		Timing: DefaultTiming(),
 	}
 }
 
@@ -217,9 +125,6 @@ func normalizeConfig(cfg Config) (Config, error) {
 	if cfg.Timing == (Timing{}) {
 		cfg.Timing = DefaultTiming()
 	}
-	if cfg.VMReserve == 0 {
-		cfg.VMReserve = trace.MaxDeps + 1
-	}
 	if cfg.NewQDepth < 0 {
 		return cfg, fmt.Errorf("picos: NewQDepth must be >= 0 (0 = unbounded), got %d", cfg.NewQDepth)
 	}
@@ -227,9 +132,9 @@ func normalizeConfig(cfg Config) (Config, error) {
 	// multiplying it; a slice too thin to hold one full task's worth of
 	// dependences could never admit under credits and would stall
 	// unrecoverably without them.
-	if shardCapacity(cfg.Design, cfg.NumDCT) <= cfg.VMReserve {
+	if shardCapacity(cfg.Design, cfg.NumDCT) <= vmReserve {
 		return cfg, fmt.Errorf("picos: %d DCT shards leave %d VM entries per shard, not above the %d-entry admission reserve; use fewer shards or a larger design",
-			cfg.NumDCT, shardCapacity(cfg.Design, cfg.NumDCT), cfg.VMReserve)
+			cfg.NumDCT, shardCapacity(cfg.Design, cfg.NumDCT), vmReserve)
 	}
 	return cfg, nil
 }
@@ -711,32 +616,30 @@ func (p *Picos) Drained() error {
 	return nil
 }
 
-// dctOf partitions addresses across DCT shards with the configured
-// ShardHash. The same address must always map to the same shard so its
-// whole version chain lives together.
+// dctOf partitions addresses across DCT shards with Shard. The same
+// address must always map to the same shard so its whole version chain
+// lives together.
 //
 //picos:hotpath
 func (p *Picos) dctOf(addr uint64) int {
 	if len(p.dct) == 1 {
 		return 0
 	}
-	return Shard(p.cfg.ShardHash, addr, len(p.dct))
+	return Shard(addr, len(p.dct))
 }
 
 // Shard is the address-to-shard partition function of the dependence
 // fabric, exported so workload generators can co-locate or scatter
 // dependence addresses across shards on purpose (the patterns package's
-// layout=shard does the former).
+// layout=shard does the former). It is a 64-bit xor-fold multiply mix:
+// block addresses from any allocator layout spread near-uniformly, so
+// the partitioned DM/VM capacity and the per-shard registration engines
+// are loaded evenly.
 //
 //picos:hotpath
-func Shard(hash ShardHash, addr uint64, numDCT int) int {
+func Shard(addr uint64, numDCT int) int {
 	if numDCT <= 1 {
 		return 0
-	}
-	if hash == ShardLowBits {
-		// Word-address low bits (operand bits [1:0] are constant zero,
-		// as for the direct DM index).
-		return int((addr >> 2) % uint64(numDCT))
 	}
 	h := addr
 	h ^= h >> 33

@@ -26,9 +26,6 @@ func TestNewValidation(t *testing.T) {
 	if p.Config().NumTRS != 1 || p.Config().NumDCT != 1 {
 		t.Fatalf("defaults not applied: %+v", p.Config())
 	}
-	if p.Config().VMReserve != trace.MaxDeps+1 {
-		t.Fatalf("VMReserve default = %d", p.Config().VMReserve)
-	}
 }
 
 func TestSingleTaskNoDeps(t *testing.T) {

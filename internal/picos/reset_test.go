@@ -111,7 +111,7 @@ func resetConfigs() []Config {
 		{Design: DM16Way},
 		{Design: DM8Way, Admission: AdmitSlotsOnly},
 		{NumTRS: 4, NumDCT: 4},
-		{NumDCT: 8, ShardHash: ShardLowBits},
+		{NumDCT: 8},
 		{NumDCT: 2, Design: DM16Way},
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // shardDeps builds n distinct dependences whose addresses all hash to
-// the given shard under the machine's configured shard hash.
+// the given shard under the fabric's shard hash.
 func shardDeps(t *testing.T, p *Picos, shard, n int) []trace.Dep {
 	t.Helper()
 	deps := make([]trace.Dep, 0, n)
@@ -49,7 +49,7 @@ func TestShardCapacityIsPartitioned(t *testing.T) {
 			t.Errorf("%d shards: fabric VM totals %d entries, want the design's %d", n, total, p.Config().Design.Capacity())
 		}
 		for i, c := range p.gw.vmCredits {
-			if want := wantCap - p.Config().VMReserve; c != want {
+			if want := wantCap - vmReserve; c != want {
 				t.Errorf("%d shards: shard %d granted %d credits, want %d", n, i, c, want)
 			}
 		}
@@ -151,9 +151,9 @@ func TestShardedRunStaysWithinPartition(t *testing.T) {
 	res.verify(t, tr)
 
 	perShard := shardCapacity(cfg.Design, 4)
-	if res.p.Stats().MaxVMLive > perShard-res.p.Config().VMReserve {
+	if res.p.Stats().MaxVMLive > perShard-vmReserve {
 		t.Fatalf("a shard held %d live versions, beyond its %d-credit partition",
-			res.p.Stats().MaxVMLive, perShard-res.p.Config().VMReserve)
+			res.p.Stats().MaxVMLive, perShard-vmReserve)
 	}
 	if got := res.p.Stats().TasksCompleted; got != uint64(len(tasks)) {
 		t.Fatalf("completed %d of %d tasks", got, len(tasks))

@@ -10,32 +10,28 @@ import (
 // direct-hash set 0: multiples of 256 bytes keep bits [7:2] zero.
 func sameSetAddr(i int) uint64 { return 0x1000 + uint64(i)*0x100 }
 
-// TestConflictSidetrackKeepsRegistering: with the default sidetrack
-// policy, a DM-set conflict parks one dependence while later tasks on
-// other sets keep registering and becoming ready; the pre-sidetrack
-// block policy stalls everything behind the conflict head-of-line.
+// TestConflictSidetrackKeepsRegistering: a DM-set conflict parks one
+// dependence in the sidetrack while later tasks on other sets keep
+// registering and becoming ready.
 func TestConflictSidetrackKeepsRegistering(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
-		policy      ConflictPolicy
 		wantReady   int // tasks dispatchable while the conflict persists
 		wantParkeds int
 	}{
-		{"sidetrack", ConflictSidetrack, 9, 1},
-		{"block", ConflictBlock, 8, 0},
+		{"sidetrack", 9, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Design = DM8Way // direct hash: 8 ways per set
-			cfg.Conflict = tc.policy
 			p, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Tasks 0..8 each write a distinct address of set 0: the
 			// ninth (task 8) conflicts and can never be ready while the
-			// set is full. Task 9 writes set 1 and becomes ready only
-			// under the sidetrack policy (8 + 1 ready vs 8 blocked).
+			// set is full. Task 9 writes set 1 and becomes ready past the
+			// parked conflict (8 + 1 ready).
 			for i := 0; i < 9; i++ {
 				if err := p.Submit(uint32(i), []trace.Dep{{Addr: sameSetAddr(i), Dir: trace.InOut}}); err != nil {
 					t.Fatal(err)

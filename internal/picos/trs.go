@@ -96,21 +96,10 @@ func (u *trsUnit) handleNewTask(pkt newTaskPkt, now uint64) {
 	u.maybeReady(pkt.slot, e, done)
 }
 
-// handleStatus records a ready or dependent packet for one dependence,
-// or updates the wake pointer of an existing one (setWake).
+// handleStatus records a ready or dependent packet for one dependence.
 func (u *trsUnit) handleStatus(pkt depStatusPkt, now uint64) {
 	done := u.consume(now, u.timing.TRSStatus)
 	e := u.tm.at(pkt.task.Slot)
-	if pkt.setWake {
-		idx, ok := e.findDepByVM(pkt.vm)
-		if !ok || e.deps[idx].ready {
-			u.p.stats.ProtocolErrors++
-			return
-		}
-		e.deps[idx].hasWake = true
-		e.deps[idx].wakeTask = pkt.wakeTask
-		return
-	}
 	d := &e.deps[pkt.depIdx]
 	d.registered = true
 	d.vm = pkt.vm

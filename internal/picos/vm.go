@@ -17,14 +17,12 @@ type vmEntry struct {
 	// Consumer side. numConsumers counts every registered consumer;
 	// finished counts those whose finish packet arrived; chainLen counts
 	// the consumers registered while the producer was still pending —
-	// the ones linked into the TMX wake chain. Under WakeLastFirst the
-	// chain is entered at chainTail (Figure 5); under WakeFirstFirst it
-	// is entered at chainHead and points forward.
+	// the ones linked into the TMX wake chain, which is entered at
+	// chainTail (Figure 5).
 	numConsumers uint32
 	finished     uint32
 	chainLen     uint32
 	chainTail    TaskHandle
-	chainHead    TaskHandle
 
 	// Next version of the same address, if any.
 	hasNext bool

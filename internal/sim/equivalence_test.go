@@ -7,7 +7,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -73,26 +76,29 @@ func resultJSON(t *testing.T, res *sim.Result) string {
 // additionally pin both to the Results the engines produced when the
 // file was recorded — schedule arrays, WedgedAt, timed-out Makespan and
 // RefusedIDs included — so a refactor that moves both loops in step
-// still fails. Rewrite it with `go test ./internal/sim -run
-// 'TestFastPath' -update-golden` only for an intended Result change.
+// still fails. Rewrite it with `go test ./internal/sim -update-golden`
+// only for an intended Result change; the run must be unfiltered (no
+// -run or -skip) to also drop the keys no subtest checks any more.
 const goldenPath = "testdata/fastpath_golden.json"
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite "+goldenPath+" from the current fast-path Results")
 
 var golden struct {
-	once sync.Once
-	mu   sync.Mutex
-	sums map[string]string
-	err  error
+	once    sync.Once
+	mu      sync.Mutex
+	sums    map[string]string
+	checked map[string]bool
+	err     error
 }
 
 // checkGolden compares the digest of a fast-path Result's JSON against
 // the recorded one for t's subtest name (or records it under
-// -update-golden).
+// -update-golden), and notes the name as checked.
 func checkGolden(t *testing.T, resJSON string) {
 	t.Helper()
 	golden.once.Do(func() {
 		golden.sums = map[string]string{}
+		golden.checked = map[string]bool{}
 		b, err := os.ReadFile(goldenPath)
 		if err == nil {
 			err = json.Unmarshal(b, &golden.sums)
@@ -108,6 +114,7 @@ func checkGolden(t *testing.T, resJSON string) {
 	got := hex.EncodeToString(sum[:])
 	golden.mu.Lock()
 	defer golden.mu.Unlock()
+	golden.checked[t.Name()] = true
 	if *updateGolden {
 		golden.sums[t.Name()] = got
 		return
@@ -119,15 +126,31 @@ func checkGolden(t *testing.T, resJSON string) {
 	}
 }
 
-// writeGolden rewrites the digest file once every subtest of the
-// calling suite has recorded its entry; a no-op without -update-golden.
-func writeGolden(t *testing.T) {
-	if !*updateGolden {
-		return
-	}
+// goldenSuite registers the end-of-suite bookkeeping of the digest file
+// for the calling suite, once every subtest has checked its entry. On
+// an unfiltered run that passed, a recorded key under the suite's name
+// that no subtest checked is stale: it fails the suite, and
+// -update-golden drops it. Under -update-golden the file is then
+// rewritten.
+func goldenSuite(t *testing.T) {
 	t.Cleanup(func() {
 		golden.mu.Lock()
 		defer golden.mu.Unlock()
+		if unfiltered() && !t.Failed() {
+			for _, name := range slices.Sorted(maps.Keys(golden.sums)) {
+				if !strings.HasPrefix(name, t.Name()+"/") || golden.checked[name] {
+					continue
+				}
+				if *updateGolden {
+					delete(golden.sums, name)
+				} else {
+					t.Errorf("stale golden digest %s: no subtest checks it; drop it with an unfiltered -update-golden run", name)
+				}
+			}
+		}
+		if !*updateGolden {
+			return
+		}
 		var b bytes.Buffer
 		enc := json.NewEncoder(&b) // sorts the keys
 		enc.SetEscapeHTML(false)
@@ -141,6 +164,12 @@ func writeGolden(t *testing.T) {
 	})
 }
 
+// unfiltered reports that neither -run nor -skip narrows the run, so
+// every subtest of a suite reaches checkGolden.
+func unfiltered() bool {
+	return flag.Lookup("test.run").Value.String() == "" && flag.Lookup("test.skip").Value.String() == ""
+}
+
 // TestFastPathEquivalence runs the {picos-hw, picos-comm, picos-full} x
 // {6 benchmarks, 7 synthetic cases} matrix twice — event-driven fast
 // path on vs the cycle-stepped reference loop — and asserts the two
@@ -149,7 +178,7 @@ func writeGolden(t *testing.T) {
 // included, which the fast path batch-accounts instead of accruing
 // per cycle).
 func TestFastPathEquivalence(t *testing.T) {
-	writeGolden(t)
+	goldenSuite(t)
 	for _, engine := range equivalenceEngines {
 		for _, base := range equivalenceWorkloads() {
 			spec := base
@@ -189,8 +218,8 @@ func TestFastPathEquivalence(t *testing.T) {
 // default configuration: the cycle-stepped reference must also match
 // under the LIFO scheduler, the slots-only admission policy (which
 // exercises DCT head-of-line stall batching), the direct-hash DM design
-// (which exercises DM-conflict stall batching), the first-first wake
-// ablation and a multi-TRS/DCT future architecture.
+// (which exercises DM-conflict stall batching) and a multi-TRS/DCT
+// future architecture.
 func TestFastPathEquivalenceKnobs(t *testing.T) {
 	knobs := []struct {
 		name      string
@@ -205,14 +234,11 @@ func TestFastPathEquivalenceKnobs(t *testing.T) {
 		// exactly the batch-accounting the fast path must reproduce.
 		{"8way", []string{"case4"}, func(s *sim.Spec) { s.Design = "8way" }},
 		{"8way-slots", []string{"case4", "heat"}, func(s *sim.Spec) { s.Design = "8way"; s.Admission = "slots" }},
-		{"first-first", []string{"case4", "case7", "heat"}, func(s *sim.Spec) { s.Wake = "first-first" }},
 		{"4trs4dct", []string{"case4", "case7", "heat"}, func(s *sim.Spec) { s.NumTRS = 4; s.NumDCT = 4 }},
 		// Sharded dependence fabric: partitioned DM/VM, arbiter-routed
 		// GW fan-out and shard-hop distances must all batch identically
-		// on the fast path, under both shard hashes and with the hop
-		// latency ablated to zero.
+		// on the fast path, also with the hop latency ablated to zero.
 		{"2dct", []string{"case4", "heat"}, func(s *sim.Spec) { s.NumDCT = 2 }},
-		{"4dct-lowbits", []string{"case4", "case7", "heat"}, func(s *sim.Spec) { s.NumDCT = 4; s.ShardHash = "low-bits" }},
 		{"4dct-freehop", []string{"case4", "heat"}, func(s *sim.Spec) { s.NumDCT = 4; s.ShardHop = -1 }},
 		{"2dct-hop4", []string{"case4", "heat"}, func(s *sim.Spec) { s.NumDCT = 2; s.ShardHop = 4 }},
 		{"1worker", []string{"case4", "case7", "heat"}, func(s *sim.Spec) { s.Workers = 1 }},
@@ -226,12 +252,6 @@ func TestFastPathEquivalenceKnobs(t *testing.T) {
 		{"newq-8way-slots", []string{"sparselu", "heat"}, func(s *sim.Spec) {
 			s.NewQDepth = 8
 			s.RunAhead = 6
-			s.Design = "8way"
-			s.Admission = "slots"
-		}},
-		// The pre-sidetrack head-of-line conflict policy stays exact too.
-		{"conflict-block", []string{"case4", "heat"}, func(s *sim.Spec) {
-			s.Conflict = "block"
 			s.Design = "8way"
 			s.Admission = "slots"
 		}},
@@ -334,7 +354,7 @@ func TestFastPathEquivalenceKnobs(t *testing.T) {
 			s.Recovery = "regrant"
 		}},
 	}
-	writeGolden(t)
+	goldenSuite(t)
 	for _, engine := range equivalenceEngines {
 		for _, k := range knobs {
 			for _, workload := range k.workloads {
@@ -376,7 +396,7 @@ func TestFastPathEquivalenceKnobs(t *testing.T) {
 // times out with every worker still busy, so its Makespan is the
 // running tasks' planned finish, not a completion the run observed.
 func TestFastPathTimedOutGolden(t *testing.T) {
-	writeGolden(t)
+	goldenSuite(t)
 	for _, engine := range equivalenceEngines {
 		t.Run(engine, func(t *testing.T) {
 			res, err := sim.Run(sim.Spec{

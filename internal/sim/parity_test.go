@@ -58,7 +58,7 @@ func TestPicosEngineParity(t *testing.T) {
 					t.Fatalf("aggregates differ: got makespan %d L1st %d, want %d / %d",
 						got.Makespan, got.FirstStart, want.Makespan, want.FirstStart)
 				}
-				if got.Stats == nil || *got.Stats != want.Stats {
+				if got.Stats == nil || *got.Stats != *want.Stats {
 					t.Fatal("stats differ from direct hil.Run")
 				}
 			})

@@ -79,14 +79,10 @@ func TestRandomGraphProperties(t *testing.T) {
 		engine := []string{"picos-hw", "picos-comm", "picos-full"}[g%3]
 		spec := sim.Spec{Engine: engine, Workers: workers}
 		// Every third graph runs on a sharded fabric (alternating 2 and 4
-		// shards, the 4-shard lane under the low-bits hash), so the
-		// invariants — and the g%16 byte-identity replays that land on
-		// these graphs — cover NumDCT > 1 too.
+		// shards), so the invariants — and the g%16 byte-identity replays
+		// that land on these graphs — cover NumDCT > 1 too.
 		if g%3 == 2 {
 			spec.NumDCT = []int{2, 4}[(g/3)%2]
-			if spec.NumDCT == 4 {
-				spec.ShardHash = "low-bits"
-			}
 		}
 		// Every fourth graph runs on a heterogeneous platform: rotating
 		// class mixes (multipliers, an affinity class backed by an

@@ -57,18 +57,14 @@ type Spec struct {
 	Design    string `json:"design,omitempty"`    // DM design: 8way, 16way, p8way (default)
 	Policy    string `json:"policy,omitempty"`    // TS policy: fifo (default), lifo
 	Admission string `json:"admission,omitempty"` // GW admission: credits (default), slots, avoid-deadlock, avoid-deadlock-park
-	Wake      string `json:"wake,omitempty"`      // wake order: last-first (default), first-first
-	Conflict  string `json:"conflict,omitempty"`  // DM conflict handling: sidetrack (default), block
 	NumTRS    int    `json:"num_trs,omitempty"`   // TRS instances (default 1)
 	NumDCT    int    `json:"num_dct,omitempty"`   // DCT instances (default 1)
 
-	// Sharded dependence-fabric knobs (meaningful when NumDCT > 1).
-	// ShardHash selects the address-to-shard hash: xor-fold (default) or
-	// low-bits. ShardHop is the per-shard-crossed chain latency in
-	// cycles: 0 means the calibrated default (1 cycle), a negative value
-	// models a free (0-cycle) fabric.
-	ShardHash string `json:"shard_hash,omitempty"`
-	ShardHop  int    `json:"shard_hop,omitempty"`
+	// Sharded dependence-fabric knob (meaningful when NumDCT > 1):
+	// ShardHop is the per-shard-crossed chain latency in cycles: 0 means
+	// the calibrated default (1 cycle), a negative value models a free
+	// (0-cycle) fabric.
+	ShardHop int `json:"shard_hop,omitempty"`
 
 	// Creation run-ahead pipeline knobs (the Picos HIL engines).
 	// NewQDepth bounds the accelerator's memory-mapped submission buffer

@@ -28,11 +28,8 @@ func fullSpec() sim.Spec {
 		Design:        "8way",
 		Policy:        "lifo",
 		Admission:     "slots",
-		Wake:          "first-first",
-		Conflict:      "block",
 		NumTRS:        2,
 		NumDCT:        4,
-		ShardHash:     "low-bits",
 		ShardHop:      3,
 		NewQDepth:     16,
 		RunAhead:      -1,
